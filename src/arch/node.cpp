@@ -56,7 +56,7 @@ void Node::attach_metrics(MetricsRegistry* registry) {
 
 void Node::attach_census(ActivityCensus& census) {
   const std::string prefix = "node" + std::to_string(id_) + ".";
-  census.add_component(prefix + "router", *router_);
+  census.add_stamp(prefix + "router", router_->last_work());
   path_->register_census(census, prefix);
   device_->register_census(census, prefix);
 }

@@ -40,7 +40,11 @@ void System::attach_census(ActivityCensus* census) {
   census_ = census;
   if (census == nullptr) return;
   for (const auto& node : nodes_) node->attach_census(*census);
-  if (nodes_.size() > 1) census->add_component("fabric", *fabric_);
+  if (nodes_.size() <= 1) return;
+  // Generic row: the fabric's slot is atomic (staged engines stamp it).
+  census->add_component("fabric", [&fabric = *fabric_](Cycle now) {
+    return fabric.did_work_this_cycle(now);
+  });
 }
 
 void System::register_probes() {

@@ -83,6 +83,7 @@ class MshrCoalescer {
   [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept {
     return last_work_ == now;
   }
+  [[nodiscard]] const Cycle& last_work() const noexcept { return last_work_; }
   [[nodiscard]] Cycle next_activity_cycle(Cycle now) const noexcept {
     return next_event(now);
   }

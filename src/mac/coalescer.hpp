@@ -148,15 +148,17 @@ class MacCoalescer {
   [[nodiscard]] Cycle next_activity_cycle(Cycle now) const noexcept {
     return next_event(now);
   }
-  /// Per-unit activity for the census's finer-grained rows.
-  [[nodiscard]] bool arq_did_work(Cycle now) const noexcept {
-    return arq_last_work_ == now;
+  /// Census stamp slots: the cycle the MAC, and each of its finer-grained
+  /// units, last did useful work.
+  [[nodiscard]] const Cycle& last_work() const noexcept { return last_work_; }
+  [[nodiscard]] const Cycle& arq_last_work() const noexcept {
+    return arq_last_work_;
   }
-  [[nodiscard]] bool builder_did_work(Cycle now) const noexcept {
-    return builder_last_work_ == now;
+  [[nodiscard]] const Cycle& builder_last_work() const noexcept {
+    return builder_last_work_;
   }
-  [[nodiscard]] bool flit_table_did_work(Cycle now) const noexcept {
-    return flit_last_work_ == now;
+  [[nodiscard]] const Cycle& flit_table_last_work() const noexcept {
+    return flit_last_work_;
   }
 
  private:

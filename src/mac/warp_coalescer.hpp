@@ -112,6 +112,7 @@ class WarpCoalescer {
   [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept {
     return last_work_ == now;
   }
+  [[nodiscard]] const Cycle& last_work() const noexcept { return last_work_; }
   [[nodiscard]] Cycle next_activity_cycle(Cycle now) const noexcept {
     return next_event(now);
   }

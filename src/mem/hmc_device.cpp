@@ -1,5 +1,6 @@
 #include "mem/hmc_device.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -29,7 +30,8 @@ HmcDevice::HmcDevice(const SimConfig& config, NodeId node)
       node_(node),
       vaults_per_link_(config.vaults / config.hmc_links),
       banks_(config.total_banks()),
-      links_(config.hmc_links, Link(config.t_link_flit)) {
+      links_(config.hmc_links, Link(config.t_link_flit)),
+      vault_busy_until_(config.vaults, 0) {
   config_.validate();
   if (config_.t_refi != 0) {
     // Stagger refresh windows evenly across the banks of each vault so a
@@ -182,6 +184,11 @@ void HmcDevice::commit_staged(StagedSubmit& entry) {
   }
 #endif
 
+  // Busy thresholds: running maxima, exact because free_at only grows.
+  Cycle& vault_until = vault_busy_until_[entry.vault];
+  vault_until = std::max(vault_until, entry.bank_free_at);
+  banks_busy_until_ = std::max(banks_busy_until_, entry.bank_free_at);
+
   // Accounting.
   ++stats_.requests;
   stats_.reads += (!request.write && !request.atomic) ? 1 : 0;
@@ -219,7 +226,7 @@ std::vector<HmcResponse> HmcDevice::drain(Cycle now) {
 }
 
 double HmcDevice::banks_busy_fraction(Cycle now) const noexcept {
-  if (banks_.empty()) return 0.0;
+  if (now >= banks_busy_until_) return 0.0;
   std::size_t busy = 0;
   for (const Bank& bank : banks_) busy += bank.busy(now) ? 1 : 0;
   return static_cast<double>(busy) / static_cast<double>(banks_.size());
@@ -227,6 +234,7 @@ double HmcDevice::banks_busy_fraction(Cycle now) const noexcept {
 
 double HmcDevice::vault_busy_fraction(std::uint32_t vault,
                                       Cycle now) const noexcept {
+  if (now >= vault_busy_until_[vault]) return 0.0;
   const std::size_t first =
       static_cast<std::size_t>(vault) * config_.banks_per_vault;
   std::size_t busy = 0;
@@ -250,6 +258,8 @@ std::pair<std::uint64_t, std::uint64_t> HmcDevice::link_flits() const {
 void HmcDevice::reset() {
   for (Bank& bank : banks_) bank.reset();
   for (Link& link : links_) link.reset();
+  std::fill(vault_busy_until_.begin(), vault_busy_until_.end(), Cycle{0});
+  banks_busy_until_ = 0;
   pending_ = {};
   staged_.clear();
   stats_ = {};

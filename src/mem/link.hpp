@@ -36,9 +36,11 @@ class Link {
   }
 
   /// Cycle the request direction drains: the backlog probe is "busy iff
-  /// now < request_free_at()", which lets the idle-cycle census credit
-  /// spans the event engine skips without probing every cycle.
-  [[nodiscard]] Cycle request_free_at() const noexcept { return req_free_; }
+  /// now < request_free_at()", which lets the idle-cycle census read it in
+  /// place as a threshold row and credit skipped spans in closed form.
+  [[nodiscard]] const Cycle& request_free_at() const noexcept {
+    return req_free_;
+  }
 
   [[nodiscard]] std::uint64_t request_flits_sent() const noexcept {
     return req_flits_;

@@ -17,40 +17,47 @@ double host_now_seconds() {
   return std::chrono::duration<double>(now).count();
 }
 
-std::size_t ActivityCensus::add_component(std::string name, Probe probe) {
-  return add_component(std::move(name), std::move(probe), RangeProbe{});
+std::size_t ActivityCensus::add_row(std::string name, Cell cell) {
+  const std::size_t index = cells_.size();
+  rows_.push_back({std::move(name), 0, 0});
+  cells_.push_back(cell);
+  active_.push_back(0);
+  base_.push_back(observed_cycles_);
+  return index;
 }
 
-std::size_t ActivityCensus::add_component(std::string name, Probe probe,
-                                          RangeProbe range) {
-  const std::size_t index = rows_.size();
-  rows_.push_back({std::move(name), 0, 0});
-  probes_.push_back(std::move(probe));
-  range_probes_.push_back(std::move(range));
-  return index;
+std::size_t ActivityCensus::add_component(std::string name, Probe probe) {
+  ProbeRow& row = probes_.emplace_back();
+  row.probe = std::move(probe);
+  return add_row(std::move(name), {&row.stamp, Kind::kStamp});
+}
+
+std::size_t ActivityCensus::add_stamp(std::string name,
+                                      const Cycle& last_work) {
+  return add_row(std::move(name), {&last_work, Kind::kStamp});
+}
+
+std::size_t ActivityCensus::add_threshold(std::string name,
+                                          const Cycle& busy_until) {
+  return add_row(std::move(name), {&busy_until, Kind::kThreshold});
 }
 
 std::size_t ActivityCensus::add_feeder(std::string name) {
-  const std::size_t index = add_component(std::move(name), Probe{});
-  feeder_index_ = index;
-  return index;
+  return add_stamp(std::move(name), *feeder_marked_at_);
 }
 
 void ActivityCensus::observe(Cycle now) {
   if (observed_any_ && now <= last_observed_) return;
+  for (ProbeRow& row : probes_) {
+    row.stamp = row.probe && row.probe(now) ? now : ~Cycle{0};
+  }
   // Cycles the engine skipped (or never visited) are idle for everyone:
   // the driver only jumps over cycles where provably nothing happens.
+  // Idle counts are derived in rows(), so only actives are booked here.
   const std::uint64_t gap = observed_any_ ? now - last_observed_ - 1 : now;
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    rows_[i].idle_cycles += gap;
-    const bool active = i == feeder_index_
-                            ? feeder_marked_at_ == now
-                            : probes_[i] && probes_[i](now);
-    if (active) {
-      ++rows_[i].active_cycles;
-    } else {
-      ++rows_[i].idle_cycles;
-    }
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    const Cycle at = *cells_[i].at;
+    active_[i] += cells_[i].kind == Kind::kStamp ? at == now : now < at;
   }
   observed_cycles_ += gap + 1;
   last_observed_ = now;
@@ -60,36 +67,36 @@ void ActivityCensus::observe(Cycle now) {
 void ActivityCensus::skip_to(Cycle next) {
   // Span of cycles the engine is about to jump over, strictly before the
   // landing cycle `next` (which observe(next) will account after its
-  // tick). Called before that tick, so range probes see the busy
-  // thresholds exactly as they stood throughout the span.
+  // tick). Called before that tick, so the thresholds read here stood
+  // unchanged throughout the span; stamps were last written before it.
   const Cycle first = observed_any_ ? last_observed_ + 1 : 0;
   if (next <= first) return;
-  const Cycle last = next - 1;
-  const std::uint64_t span = last - first + 1;
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    std::uint64_t active = 0;
-    if (i != feeder_index_ && range_probes_[i]) {
-      active = range_probes_[i](first, last);
-      if (active > span) active = span;
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    const Cycle until = *cells_[i].at;
+    if (cells_[i].kind == Kind::kThreshold && until > first) {
+      active_[i] += std::min(until, next) - first;
     }
-    rows_[i].active_cycles += active;
-    rows_[i].idle_cycles += span - active;
   }
-  observed_cycles_ += span;
-  last_observed_ = last;
+  observed_cycles_ += next - first;
+  last_observed_ = next - 1;
   observed_any_ = true;
 }
 
 void ActivityCensus::seal() {
+  for (Cell& cell : cells_) cell = {&kSealed, Kind::kThreshold};
   probes_.clear();
-  probes_.resize(rows_.size());
-  range_probes_.clear();
-  range_probes_.resize(rows_.size());
-  feeder_index_ = kNoFeeder;  // the feeder's marker may dangle too
+}
+
+const std::vector<ActivityCensus::Row>& ActivityCensus::rows() const noexcept {
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    rows_[i].active_cycles = active_[i];
+    rows_[i].idle_cycles = observed_cycles_ - base_[i] - active_[i];
+  }
+  return rows_;
 }
 
 void ActivityCensus::export_metrics(MetricsRegistry& registry) const {
-  for (const Row& row : rows_) {
+  for (const Row& row : rows()) {
     registry.counter(row.name + ".active_cycles").add(row.active_cycles);
     registry.counter(row.name + ".idle_cycles").add(row.idle_cycles);
   }
@@ -98,7 +105,7 @@ void ActivityCensus::export_metrics(MetricsRegistry& registry) const {
 double ActivityCensus::dead_time_fraction() const noexcept {
   std::uint64_t active = 0;
   std::uint64_t idle = 0;
-  for (const Row& row : rows_) {
+  for (const Row& row : rows()) {
     active += row.active_cycles;
     idle += row.idle_cycles;
   }
@@ -109,14 +116,14 @@ double ActivityCensus::dead_time_fraction() const noexcept {
 
 std::string ActivityCensus::to_table() const {
   std::size_t width = 9;  // "component"
-  for (const Row& row : rows_) width = std::max(width, row.name.size());
+  for (const Row& row : rows()) width = std::max(width, row.name.size());
   std::string out;
   char line[160];
   std::snprintf(line, sizeof(line), "%-*s %12s %12s %10s\n",
                 static_cast<int>(width), "component", "active", "idle",
                 "dead-time");
   out += line;
-  for (const Row& row : rows_) {
+  for (const Row& row : rows()) {
     const std::uint64_t total = row.active_cycles + row.idle_cycles;
     const double dead =
         total == 0 ? 0.0
@@ -144,7 +151,7 @@ std::string ActivityCensus::to_json() const {
   out += ", \"dead_time_fraction\": " + json_number(dead_time_fraction());
   out += ", \"components\": {";
   bool first = true;
-  for (const Row& row : rows_) {
+  for (const Row& row : rows()) {
     if (!first) out += ", ";
     first = false;
     out += json_quote(row.name) + ": {\"active_cycles\": " +

@@ -6,22 +6,22 @@
 // fast-forward engine: it forces each component to expose the Activity
 // oracle (`did_work_this_cycle` / `next_activity_cycle`) that engine will
 // consume, and turns "most cycles are dead time" into per-component
-// numbers. Census probes are evaluated only at serial points (the census
-// owner observes once per simulated cycle), so serial and parallel
-// engines produce byte-identical census exports.
+// numbers. Census rows are read only at serial points (the census owner
+// observes once per simulated cycle), so serial and parallel engines
+// produce byte-identical census exports.
 //
 // Host-time measurements (HostProfiler) are wall-clock and therefore
 // nondeterministic by nature; they are quarantined in the report's
 // `host` section, which report-diff skips by name.
 #pragma once
 
-#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -36,35 +36,28 @@ class MetricsRegistry;
 /// stays quarantined from simulated time.
 [[nodiscard]] double host_now_seconds();
 
-/// The Activity concept every tickable component grows in this PR and the
-/// event-driven engine will later consume: "did you do useful work at
-/// cycle `now`?" plus "when is your next possible activity?" (0 = idle
-/// forever, i.e. the component is drained).
-template <typename T>
-concept ActivityComponent = requires(const T& t, Cycle now) {
-  { t.did_work_this_cycle(now) } -> std::convertible_to<bool>;
-  { t.next_activity_cycle(now) } -> std::convertible_to<Cycle>;
-};
-
 /// Idle-cycle census: accumulates per-component active/idle cycle counts.
 ///
-/// Components register a probe (or satisfy ActivityComponent); the run
-/// owner calls observe(now) once per simulated cycle at a serial point.
-/// Cycles the engine never visited (time skips) count as idle for every
-/// component — the driver only skips cycles where provably no component
-/// does work — unless the component registered a range probe: device
-/// state like "bank busy until cycle c" is active during skipped spans
-/// even though nothing ticks, and the range probe credits those cycles
-/// exactly, so the event engine's census stays byte-identical to the
-/// cycle engine's. The engine must call skip_to(next) BEFORE ticking the
-/// landing cycle: the landing tick can raise busy thresholds, which
-/// would falsely mark the skipped span active.
+/// Every in-tree activity oracle has one of two forms, and the census
+/// stores exactly that: a *stamp* row is active at `now` iff the
+/// component's last-work slot equals `now` (MAC3D_OBS_ACTIVITY writes it);
+/// a *threshold* row is active iff `now < busy_until` (device state such
+/// as "bank busy until cycle c"). Both are registered by reference, so
+/// observe() is a flat read of O(rows) cycles with no calls. Only the
+/// generic add_component(name, Probe) row calls through std::function.
+///
+/// The run owner calls observe(now) once per simulated cycle at a serial
+/// point. Cycles the engine never visited count as idle for every row
+/// (the driver only skips cycles where provably no component does work),
+/// except across skip_to(): threshold rows stay busy through skipped spans
+/// even though nothing ticks, and skip_to credits them in closed form, so
+/// the event engine's census stays byte-identical to the cycle engine's.
+/// The engine must call skip_to(next) BEFORE ticking the landing cycle:
+/// the landing tick can raise busy thresholds, which would falsely mark
+/// the skipped span active.
 class ActivityCensus {
  public:
   using Probe = std::function<bool(Cycle)>;
-  /// Active-cycle count over the inclusive span [first, last], evaluated
-  /// against the component's current (frozen, mid-skip) state.
-  using RangeProbe = std::function<std::uint64_t(Cycle, Cycle)>;
 
   struct Row {
     std::string name;
@@ -76,26 +69,18 @@ class ActivityCensus {
   /// Returns the component's census index.
   std::size_t add_component(std::string name, Probe probe);
 
-  /// Register a component whose activity persists across skipped spans
-  /// (threshold-form device state): `probe` answers visited cycles,
-  /// `range` answers "how many cycles in [first, last] were active"
-  /// for spans the event engine fast-forwards over.
-  std::size_t add_component(std::string name, Probe probe, RangeProbe range);
+  /// Register a stamp row: active at `now` iff `last_work == now`.
+  std::size_t add_stamp(std::string name, const Cycle& last_work);
 
-  /// Register any ActivityComponent; the probe delegates to its
-  /// did_work_this_cycle. The component must outlive the observed run
-  /// (call seal() before it dies).
-  template <ActivityComponent T>
-  std::size_t add_component(std::string name, const T& component) {
-    return add_component(std::move(name), [&component](Cycle now) {
-      return component.did_work_this_cycle(now);
-    });
-  }
+  /// Register a threshold row: active at `now` iff `now < busy_until`.
+  /// Skipped spans credit the cycles before the (frozen) threshold.
+  std::size_t add_threshold(std::string name, const Cycle& busy_until);
 
   /// Register a manually-marked component (the trace feeder has no tick
-  /// of its own): mark_feeder(now) flags the current cycle as active.
+  /// of its own): a stamp row over the census's own marker, which
+  /// mark_feeder(now) sets. Every live feeder row shares the one marker.
   std::size_t add_feeder(std::string name);
-  void mark_feeder(Cycle now) noexcept { feeder_marked_at_ = now; }
+  void mark_feeder(Cycle now) noexcept { *feeder_marked_at_ = now; }
 
   /// Account one simulated cycle. Idempotent per cycle; a forward jump
   /// from the last observed cycle books the skipped cycles as idle for
@@ -103,24 +88,24 @@ class ActivityCensus {
   void observe(Cycle now);
 
   /// Account the skipped span strictly before `next` (the event engine's
-  /// landing cycle): every cycle after the last observed one and before
-  /// `next` books via the component's range probe (all-idle without one).
-  /// Must run before the landing cycle is ticked — range probes read the
-  /// busy thresholds as frozen during the skip. The landing cycle itself
-  /// is then accounted by the usual observe(next).
+  /// landing cycle): threshold rows are active for the span's cycles
+  /// below their threshold, every other row is idle. Must run before the
+  /// landing cycle is ticked — the thresholds are read as frozen during
+  /// the skip. The landing cycle itself is then accounted by the usual
+  /// observe(next).
   void skip_to(Cycle next);
 
-  /// Drop every probe, keeping the accumulated counts. Call before the
-  /// probed components are destroyed (mirrors the SamplerWindow hazard:
-  /// probes capture components by reference).
+  /// Detach every row from its component, keeping the accumulated counts
+  /// (sealed rows book idle from then on). Call before the registered
+  /// components are destroyed: rows read them by reference.
   void seal();
 
   /// Export `<name>.active_cycles` / `<name>.idle_cycles` counters.
   void export_metrics(MetricsRegistry& registry) const;
 
-  [[nodiscard]] const std::vector<Row>& rows() const noexcept {
-    return rows_;
-  }
+  /// Per-row counts, in registration order (idle cycles are derived:
+  /// cycles observed since the row was registered minus active ones).
+  [[nodiscard]] const std::vector<Row>& rows() const noexcept;
   [[nodiscard]] std::uint64_t observed_cycles() const noexcept {
     return observed_cycles_;
   }
@@ -135,13 +120,30 @@ class ActivityCensus {
   [[nodiscard]] std::string to_json() const;
 
  private:
-  static constexpr std::size_t kNoFeeder = static_cast<std::size_t>(-1);
+  enum class Kind : std::uint8_t { kStamp, kThreshold };
+  /// One row's activity source: the cycle it reads and how to read it.
+  struct Cell {
+    const Cycle* at;
+    Kind kind;
+  };
+  /// A generic probe row, evaluated into a stamp its cell reads.
+  struct ProbeRow {
+    Probe probe;
+    Cycle stamp = ~Cycle{0};
+  };
+  /// Never active as a threshold: the target of sealed cells.
+  static constexpr Cycle kSealed = 0;
 
-  std::vector<Row> rows_;
-  std::vector<Probe> probes_;             // parallel to rows_ until seal()
-  std::vector<RangeProbe> range_probes_;  // parallel to rows_ until seal()
-  std::size_t feeder_index_ = kNoFeeder;
-  Cycle feeder_marked_at_ = ~Cycle{0};
+  std::size_t add_row(std::string name, Cell cell);
+
+  std::vector<Cell> cells_;
+  std::vector<std::uint64_t> active_;  // parallel to cells_
+  std::vector<std::uint64_t> base_;    // observed_cycles_ at registration
+  std::deque<ProbeRow> probes_;        // stable: cells point at the stamps
+  mutable std::vector<Row> rows_;      // names; counts filled by rows()
+  // Heap-held, like the probe stamps, so cells stay valid when the census
+  // is moved (it is move-only: copied cells would alias the original).
+  std::unique_ptr<Cycle> feeder_marked_at_ = std::make_unique<Cycle>(~Cycle{0});
   bool observed_any_ = false;
   Cycle last_observed_ = 0;
   std::uint64_t observed_cycles_ = 0;

@@ -1,9 +1,8 @@
 #include "obs/sampler.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <fstream>
-#include <sstream>
 
 namespace mac3d {
 
@@ -64,20 +63,22 @@ std::size_t CycleSampler::rows_for(std::string_view path) const noexcept {
 }
 
 std::string CycleSampler::to_csv() const {
-  std::ostringstream out;
-  out << "path,cycle";
-  for (const auto& column : columns_) out << ',' << column;
-  out << '\n';
+  std::string out = "path,cycle";
+  for (const auto& column : columns_) (out += ',') += column;
+  out += '\n';
+  // to_chars(general, 10) is specified to match printf("%.10g") exactly.
   char buf[40];
   for (const auto& row : rows_) {
-    out << row.path << ',' << row.cycle;
+    (out += row.path) += ',';
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), row.cycle).ptr);
     for (const double value : row.values) {
-      std::snprintf(buf, sizeof(buf), "%.10g", value);
-      out << ',' << buf;
+      const auto end = std::to_chars(buf, buf + sizeof(buf), value,
+                                     std::chars_format::general, 10);
+      (out += ',').append(buf, end.ptr);
     }
-    out << '\n';
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 bool CycleSampler::write_csv(const std::string& file) const {

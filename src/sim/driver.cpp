@@ -1019,16 +1019,10 @@ DriverResult run_mac(const MemoryTrace& trace, const SimConfig& config,
   }
   if (census != nullptr) {
     census->add_feeder("node0.feeder");
-    census->add_component("node0.mac", mac);
-    census->add_component("node0.arq", [&mac](Cycle now) {
-      return mac.arq_did_work(now);
-    });
-    census->add_component("node0.builder", [&mac](Cycle now) {
-      return mac.builder_did_work(now);
-    });
-    census->add_component("node0.flit_table", [&mac](Cycle now) {
-      return mac.flit_table_did_work(now);
-    });
+    census->add_stamp("node0.mac", mac.last_work());
+    census->add_stamp("node0.arq", mac.arq_last_work());
+    census->add_stamp("node0.builder", mac.builder_last_work());
+    census->add_stamp("node0.flit_table", mac.flit_table_last_work());
     device.register_census(*census, "node0.");
   }
   if (snapshot != nullptr) {
@@ -1096,7 +1090,7 @@ DriverResult run_raw(const MemoryTrace& trace, const SimConfig& config,
   }
   if (census != nullptr) {
     census->add_feeder("node0.feeder");
-    census->add_component("node0.queue", raw);
+    census->add_stamp("node0.queue", raw.last_work());
     device.register_census(*census, "node0.");
   }
   if (snapshot != nullptr) {
@@ -1163,7 +1157,7 @@ DriverResult run_mshr(const MemoryTrace& trace, const SimConfig& config,
   }
   if (census != nullptr) {
     census->add_feeder("node0.feeder");
-    census->add_component("node0.mshr", mshr);
+    census->add_stamp("node0.mshr", mshr.last_work());
     device.register_census(*census, "node0.");
   }
   if (snapshot != nullptr) {
@@ -1229,7 +1223,7 @@ DriverResult run_warp(const MemoryTrace& trace, const SimConfig& config,
   }
   if (census != nullptr) {
     census->add_feeder("node0.feeder");
-    census->add_component("node0.warp", warp);
+    census->add_stamp("node0.warp", warp.last_work());
     device.register_census(*census, "node0.");
   }
   if (snapshot != nullptr) {

@@ -66,16 +66,10 @@ class MacAdapter final
 
   void register_census(ActivityCensus& census,
                        const std::string& prefix) override {
-    census.add_component(prefix + "mac", path_);
-    census.add_component(prefix + "arq", [this](Cycle now) {
-      return path_.arq_did_work(now);
-    });
-    census.add_component(prefix + "builder", [this](Cycle now) {
-      return path_.builder_did_work(now);
-    });
-    census.add_component(prefix + "flit_table", [this](Cycle now) {
-      return path_.flit_table_did_work(now);
-    });
+    census.add_stamp(prefix + "mac", path_.last_work());
+    census.add_stamp(prefix + "arq", path_.arq_last_work());
+    census.add_stamp(prefix + "builder", path_.builder_last_work());
+    census.add_stamp(prefix + "flit_table", path_.flit_table_last_work());
   }
   void collect(StatSet& out, const std::string& prefix) const override {
     path_.stats().collect(out, prefix + ".mac");
@@ -89,7 +83,7 @@ class RawAdapter final : public PathAdapter<RawPath, CoalescerPolicy::kRaw> {
 
   void register_census(ActivityCensus& census,
                        const std::string& prefix) override {
-    census.add_component(prefix + "queue", path_);
+    census.add_stamp(prefix + "queue", path_.last_work());
   }
   void collect(StatSet& out, const std::string& prefix) const override {
     const std::string base = prefix + ".raw";
@@ -106,7 +100,7 @@ class MshrAdapter final
 
   void register_census(ActivityCensus& census,
                        const std::string& prefix) override {
-    census.add_component(prefix + "mshr", path_);
+    census.add_stamp(prefix + "mshr", path_.last_work());
   }
   void collect(StatSet& out, const std::string& prefix) const override {
     const std::string base = prefix + ".mshr";
@@ -128,7 +122,7 @@ class WarpAdapter final
 
   void register_census(ActivityCensus& census,
                        const std::string& prefix) override {
-    census.add_component(prefix + "warp", path_);
+    census.add_stamp(prefix + "warp", path_.last_work());
   }
   void collect(StatSet& out, const std::string& prefix) const override {
     path_.stats().collect(out, prefix + ".warp");

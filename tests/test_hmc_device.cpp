@@ -1,9 +1,15 @@
 // Unit tests: bank timing, link serialization and the HMC device model —
-// including the Table 1 latency calibration and the Fig. 2 bank-conflict
-// scenario.
+// including the Table 1 latency calibration, the Fig. 2 bank-conflict
+// scenario, and the busy thresholds the device keeps for the idle census.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstddef>
+#include <functional>
+
 #include "common/config.hpp"
+#include "common/rng.hpp"
 #include "mem/bank.hpp"
 #include "mem/hmc_device.hpp"
 #include "mem/link.hpp"
@@ -348,6 +354,105 @@ TEST_F(HmcDeviceTest, LinkFlitTotalsMatchTraffic) {
   EXPECT_EQ(req, 1u);
   EXPECT_EQ(resp, 5u);
 }
+
+// ------------------------------------------------------- busy thresholds
+// vault_busy_until / banks_busy_until are running maxima kept at commit;
+// they must equal a brute-force scan of Bank::free_at() after every
+// submit, in every bank mode, across reset() and under staged stepping.
+
+/// Runs shard work inline, in order (the serial stepper contract).
+struct InlineStepper {
+  void for_shards(std::size_t count,
+                  const std::function<void(std::size_t)>& fn) const {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+  }
+};
+
+void expect_thresholds_match_scan(const HmcDevice& device,
+                                  const SimConfig& config) {
+  Cycle all = 0;
+  for (std::uint32_t v = 0; v < device.vault_count(); ++v) {
+    Cycle vault = 0;
+    for (std::uint32_t b = 0; b < config.banks_per_vault; ++b) {
+      vault = std::max(
+          vault, device.banks()[v * config.banks_per_vault + b].free_at());
+    }
+    ASSERT_EQ(device.vault_busy_until(v), vault) << "vault " << v;
+    all = std::max(all, vault);
+  }
+  ASSERT_EQ(device.banks_busy_until(), all);
+}
+
+/// Random packets (sizes, kinds, addresses clustered onto few rows so
+/// banks conflict) at a random non-decreasing clock.
+void submit_random(HmcDevice& device, const SimConfig& config,
+                   Xoshiro256& rng, TransactionId id, Cycle now) {
+  HmcRequest request;
+  request.id = id;
+  request.data_bytes = 16u << rng.below(5);  // 16 .. 256
+  const std::uint64_t row = rng.below(4096);
+  request.addr = row * config.row_bytes +
+                 rng.below(config.row_bytes / request.data_bytes) *
+                     request.data_bytes;
+  request.write = rng.below(3) == 0;
+  request.atomic = !request.write && rng.below(8) == 0;
+  device.submit(std::move(request), now);
+}
+
+class BusyThresholdProperty : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(BusyThresholdProperty, KeptThresholdsEqualBankScan) {
+  for (int mode = 0; mode < 3; ++mode) {
+    SimConfig config;
+    config.open_page = mode == 1;
+    config.t_refi = mode == 2 ? 2000 : 0;
+    HmcDevice device(config);
+    Xoshiro256 rng(GetParam() * 31 + static_cast<std::uint64_t>(mode));
+    TransactionId id = 1;
+    for (int round = 0; round < 2; ++round) {
+      expect_thresholds_match_scan(device, config);
+      Cycle now = 0;
+      for (int i = 0; i < 400; ++i) {
+        now += rng.below(40);
+        submit_random(device, config, rng, id++, now);
+        expect_thresholds_match_scan(device, config);
+        for (std::uint32_t v = 0; v < device.vault_count(); ++v) {
+          // The early-out must not change a sampled fraction.
+          if (now >= device.vault_busy_until(v)) {
+            EXPECT_EQ(device.vault_busy_fraction(v, now), 0.0);
+          }
+        }
+        EXPECT_EQ(device.did_work_this_cycle(now),
+                  device.banks_busy_fraction(now) > 0.0);
+      }
+      device.reset();  // round 2 replays from a zeroed device
+      EXPECT_EQ(device.banks_busy_until(), 0u);
+    }
+  }
+}
+
+TEST_P(BusyThresholdProperty, StagedCommitKeepsThresholds) {
+  SimConfig config;
+  HmcDevice device(config);
+  device.begin_staged();
+  InlineStepper stepper;
+  Xoshiro256 rng(GetParam());
+  TransactionId id = 1;
+  Cycle now = 0;
+  for (int i = 0; i < 100; ++i) {
+    now += 1 + rng.below(20);
+    const int burst = 1 + static_cast<int>(rng.below(4));
+    for (int k = 0; k < burst; ++k) {
+      submit_random(device, config, rng, id++, now);
+    }
+    device.step_staged(stepper);
+    expect_thresholds_match_scan(device, config);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BusyThresholdProperty,
+                         ::testing::Values(1ull, 7ull, 20190805ull));
 
 }  // namespace
 }  // namespace mac3d

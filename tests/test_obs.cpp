@@ -9,6 +9,7 @@
 //  * RunReport renders the stable schema with config and per-path stats.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -402,6 +403,37 @@ TEST(Sampler, EmitsCeilMakespanOverPeriodRowsPerRun) {
     ++data_lines;
   }
   EXPECT_EQ(data_lines, total);
+}
+
+TEST(Sampler, CsvNumbersMatchPrintfPercentTenG) {
+  // to_csv renders with std::to_chars(general, 10); the CSV must stay
+  // byte-identical to the printf("%.10g") rendering it replaced.
+  std::vector<double> values = {0.0,    1.0,         -7.0,   42.0,
+                                0.1,    1e-5,        0.5,    12345678901.0,
+                                1e300,  -2.5e-300,   1.0 / 3.0, 65536.0};
+  Xoshiro256 rng(20190805);
+  for (int i = 0; i < 2000; ++i) {
+    // Random mantissas over a wide exponent range, plus small integers
+    // and fractions like the sampler's busy fractions.
+    const double mantissa = static_cast<double>(rng.below(1ull << 53)) /
+                            static_cast<double>(1ull << 53);
+    const int exponent = static_cast<int>(rng.below(601)) - 300;
+    values.push_back(std::ldexp(mantissa, exponent));
+    values.push_back(static_cast<double>(rng.below(1000000)));
+    values.push_back(static_cast<double>(rng.below(17)) / 16.0);
+  }
+  CycleSampler sampler(1);
+  sampler.begin_run("t");
+  sampler.add_probe("v", [&values](Cycle cycle) { return values[cycle - 1]; });
+  sampler.end_run(values.size());
+
+  std::string expected = "path,cycle,v\n";
+  char buf[40];
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "%.10g", values[i]);
+    expected += "t," + std::to_string(i + 1) + "," + buf + "\n";
+  }
+  EXPECT_EQ(sampler.to_csv(), expected);
 }
 
 /// Minimal line-oriented scan of the tracer's Chrome JSON (one event per

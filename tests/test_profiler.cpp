@@ -1,8 +1,10 @@
 // Self-profiling subsystem (docs/OBSERVABILITY.md §profiler):
 //  * ActivityCensus accounting on hand-built activity patterns — gap
-//    cycles book as idle, observe() is idempotent per cycle, the feeder
-//    row follows mark_feeder, seal() keeps counts, and the export lands
-//    in the metrics registry under <name>.{active,idle}_cycles;
+//    cycles book as idle, observe() is idempotent per cycle, skip_to
+//    credits threshold rows in closed form and never stamp rows, rows
+//    registered mid-run count from their registration, the feeder row
+//    follows mark_feeder, seal() keeps counts, and the export lands in
+//    the metrics registry under <name>.{active,idle}_cycles;
 //  * LatencyDecomposer residency histograms against analytic values,
 //    the critical-stage attribution (argmax residency, earliest stage
 //    wins ties) and the transparent downstream tee;
@@ -15,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "arch/system.hpp"
 #include "common/config.hpp"
@@ -62,22 +65,19 @@ TEST(ActivityCensus, CountsActiveAndIdleWithGapCycles) {
   EXPECT_DOUBLE_EQ(census.dead_time_fraction(), 18.0 / 20.0);
 }
 
-TEST(ActivityCensus, SkipToCreditsRangeProbesExactly) {
+TEST(ActivityCensus, SkipToCreditsThresholdRowsExactly) {
   ActivityCensus census;
-  // Threshold-form probe, like a bank busy-until: active while now < 7.
-  census.add_component(
-      "bank", [](Cycle now) { return now < 7; },
-      [](Cycle first, Cycle last) -> std::uint64_t {
-        if (first >= 7) return 0;
-        const Cycle end = last < 6 ? last : 6;
-        return end - first + 1;
-      });
-  // Plain 2-arg component: skipped spans book as idle.
-  census.add_component("idle_unit", [](Cycle) { return false; });
+  // Threshold row, like a bank busy-until: active while now < 7.
+  const Cycle busy_until = 7;
+  census.add_threshold("bank", busy_until);
+  // Stamp row whose stamp lies inside the skipped span: stamps are never
+  // credited across a skip (a stamped cycle is by definition visited).
+  const Cycle last_work = 5;
+  census.add_stamp("idle_unit", last_work);
 
-  census.observe(0);   // both probed at 0: bank active, idle_unit idle
+  census.observe(0);   // both read at 0: bank active, idle_unit idle
   census.skip_to(10);  // span 1..9: bank active 1..6 (6), idle 7..9 (3)
-  census.observe(10);  // landing cycle probed normally (bank now idle)
+  census.observe(10);  // landing cycle read normally (bank now idle)
 
   EXPECT_EQ(census.observed_cycles(), 11u);
   const auto& rows = census.rows();
@@ -90,39 +90,52 @@ TEST(ActivityCensus, SkipToCreditsRangeProbesExactly) {
 
 TEST(ActivityCensus, SkipToEdgeCases) {
   ActivityCensus census;
-  std::uint64_t range_calls = 0;
-  census.add_component(
-      "unit", [](Cycle) { return false; },
-      [&range_calls](Cycle first, Cycle last) -> std::uint64_t {
-        ++range_calls;
-        // Over-reporting probes are clamped to the span length.
-        return (last - first + 1) * 100;
-      });
+  Cycle busy_until = 0;
+  census.add_threshold("unit", busy_until);
   census.add_feeder("feeder");
 
-  census.observe(0);
-  census.skip_to(1);  // next == first unobserved cycle: a no-op
+  census.observe(0);    // threshold 0: idle
+  busy_until = 1000;    // cycle 0's tick raises the threshold
+  census.skip_to(1);    // next == first unobserved cycle: a no-op
   EXPECT_EQ(census.observed_cycles(), 1u);
-  EXPECT_EQ(range_calls, 0u);
 
   census.skip_to(5);  // span 1..4
   EXPECT_EQ(census.observed_cycles(), 5u);
-  EXPECT_EQ(range_calls, 1u);
   const auto& rows = census.rows();
-  // Clamp: the probe claimed 400 active cycles for a 4-cycle span.
+  // A threshold beyond the span credits the span, no more.
   EXPECT_EQ(rows[0].active_cycles, 4u);
   EXPECT_EQ(rows[0].idle_cycles, 1u);
-  // The feeder row never runs a range probe: skipped spans are idle
-  // (nothing was fed during a span nobody visited).
+  // The feeder is a stamp row: skipped spans are idle (nothing was fed
+  // during a span nobody visited).
   EXPECT_EQ(rows[1].active_cycles, 0u);
   EXPECT_EQ(rows[1].idle_cycles, 5u);
 
   // skip_to on a fresh census starts the clock at cycle 0.
   ActivityCensus fresh;
   fresh.add_component("unit", [](Cycle) { return true; });
-  fresh.skip_to(3);  // books 0..2, idle (no range probe)
+  fresh.skip_to(3);  // books 0..2, idle (a probe row is not a threshold)
   EXPECT_EQ(fresh.observed_cycles(), 3u);
   EXPECT_EQ(fresh.rows()[0].idle_cycles, 3u);
+}
+
+TEST(ActivityCensus, RowRegisteredMidRunCountsFromItsRegistration) {
+  ActivityCensus census;
+  census.add_component("early", [](Cycle) { return true; });
+  census.observe(0);
+  census.observe(1);
+  const Cycle busy_until = 6;
+  census.add_threshold("late", busy_until);  // joins at observed cycle 2
+  census.observe(3);   // gap cycle 2 idle for both; 3 active for both
+  census.skip_to(8);   // span 4..7: late active 4..5, early idle
+  census.observe(8);   // early active; late idle (8 >= 6)
+
+  EXPECT_EQ(census.observed_cycles(), 9u);
+  const auto& rows = census.rows();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].active_cycles, 4u);  // 0, 1, 3, 8
+  EXPECT_EQ(rows[0].idle_cycles, 5u);    // 2, 4..7
+  EXPECT_EQ(rows[1].active_cycles, 3u);  // 3, 4, 5
+  EXPECT_EQ(rows[1].idle_cycles, 4u);    // 2, 6, 7, 8 — not 0..1
 }
 
 TEST(ActivityCensus, FeederRowFollowsMarkFeeder) {
@@ -138,6 +151,26 @@ TEST(ActivityCensus, FeederRowFollowsMarkFeeder) {
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].active_cycles, 2u);
   EXPECT_EQ(rows[0].idle_cycles, 1u);
+}
+
+TEST(ActivityCensus, MovedCensusKeepsReadingItsRows) {
+  // Rows point at the feeder marker and the generic probes' stamps; both
+  // live outside the census object, so a move (the CLI keeps one census
+  // per path in a vector) keeps every row live.
+  ActivityCensus original;
+  original.add_feeder("feeder");
+  original.add_component("unit", [](Cycle now) { return now == 1; });
+  std::vector<ActivityCensus> censuses;
+  censuses.push_back(std::move(original));
+  ActivityCensus& census = censuses.front();
+  census.mark_feeder(0);
+  census.observe(0);
+  census.observe(1);
+
+  const auto& rows = census.rows();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].active_cycles, 1u);  // fed at 0
+  EXPECT_EQ(rows[1].active_cycles, 1u);  // probed active at 1
 }
 
 TEST(ActivityCensus, SealKeepsCountsAndExportLandsInRegistry) {
