@@ -64,11 +64,10 @@ struct CliOptions {
   std::string policy;
   bool checks = false;
   bool profile = false;  ///< idle-cycle census + latency/host profiling
-  /// serial | parallel | event | event-parallel ("" = per-command default:
-  /// run/suite use the event fast-forward engine, system the strict serial
-  /// reference — docs/PARALLELISM.md §event-driven engine).
+  /// serial | event ("" = per-command default: run/suite use the event
+  /// fast-forward engine, system the strict serial reference —
+  /// docs/PARALLELISM.md §event-driven engine).
   std::string engine;
-  std::uint32_t engine_threads = 0;  ///< 0 = hardware concurrency
   std::uint32_t jobs = 0;          ///< parallel paths/workloads (0 = env)
   std::uint32_t tag_pool = 0;      ///< streaming tag pool (0 = full 64 K)
   std::string trace_events;    ///< Chrome trace-event JSON output
@@ -113,12 +112,9 @@ void usage() {
                "  --feed MODE       streaming | closed-loop | lane-group "
                "(SIMT lockstep\n"
                "                    groups of config.warp_lanes threads)\n"
-               "  --engine E        serial | parallel | event | "
-               "event-parallel (docs/PARALLELISM.md;\n"
-               "                    default: event for run/suite, serial "
-               "for system)\n"
-               "  --engine-threads N  workers for the parallel engines "
-               "(0 = hardware)\n"
+               "  --engine E        serial | event (docs/PARALLELISM.md; "
+               "default: event for\n"
+               "                    run/suite, serial for system)\n"
                "  --jobs N          run paths (run) / workloads (suite) as "
                "N parallel tasks\n"
                "  --tag-pool N      streaming feeder: outstanding tags per "
@@ -152,6 +148,17 @@ void usage() {
                "P (system\n"
                "                    command, repeatable; others use "
                "--policy)\n");
+}
+
+/// The staged in-run parallel engines were removed: they reproduced the
+/// serial results bit for bit but ran an order of magnitude slower
+/// (docs/PARALLELISM.md). Exit 2 and point at what remains.
+[[noreturn]] void removed_engine_option(const char* option) {
+  std::fprintf(stderr,
+               "mac3d: %s: the staged parallel engines were removed; use "
+               "--engine serial|event, and --jobs N for throughput\n",
+               option);
+  std::exit(2);
 }
 
 std::optional<CliOptions> parse(int argc, char** argv) {
@@ -221,21 +228,19 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       options.profile = true;
     } else if (arg == "--engine") {
       options.engine = value();
-      // "cycle" aliases make the strict engines addressable by what they
-      // are in the 4-way differential matrix.
+      // "cycle" names the strict engine by what it is.
       if (options.engine == "cycle") options.engine = "serial";
-      if (options.engine == "cycle-parallel") options.engine = "parallel";
-      if (options.engine != "serial" && options.engine != "parallel" &&
-          options.engine != "event" && options.engine != "event-parallel") {
-        std::fprintf(stderr,
-                     "unknown engine '%s' "
-                     "(serial|parallel|event|event-parallel)\n",
+      if (options.engine == "parallel" || options.engine == "cycle-parallel" ||
+          options.engine == "event-parallel") {
+        removed_engine_option(("--engine " + options.engine).c_str());
+      }
+      if (options.engine != "serial" && options.engine != "event") {
+        std::fprintf(stderr, "unknown engine '%s' (serial|event)\n",
                      options.engine.c_str());
         return std::nullopt;
       }
     } else if (arg == "--engine-threads") {
-      options.engine_threads =
-          static_cast<std::uint32_t>(std::atoi(value()));
+      removed_engine_option("--engine-threads");
     } else if (arg == "--jobs") {
       options.jobs = static_cast<std::uint32_t>(std::atoi(value()));
     } else if (arg == "--tag-pool") {
@@ -344,13 +349,10 @@ MemoryTrace make_trace(const CliOptions& options, const SimConfig& config) {
 }
 
 /// --engine string -> driver engine for run/suite ("" = the event
-/// fast-forward default; all engines are bit-identical, so the default is
-/// purely a wall-clock choice).
+/// fast-forward default; both engines are bit-identical, so the default
+/// is purely a wall-clock choice).
 Engine drive_engine(const std::string& name) {
-  if (name == "parallel") return Engine::kParallel;
-  if (name == "serial") return Engine::kSerial;
-  if (name == "event-parallel") return Engine::kEventParallel;
-  return Engine::kEvent;  // "event" and the run/suite default
+  return name == "serial" ? Engine::kSerial : Engine::kEvent;
 }
 
 int cmd_run(const CliOptions& cli) {
@@ -380,7 +382,6 @@ int cmd_run(const CliOptions& cli) {
   DriveOptions drive;
   drive.mode = drive_feed(options);
   drive.engine = drive_engine(options.engine);
-  drive.engine_threads = options.engine_threads;
   drive.tag_pool = options.tag_pool;
   CheckContext checks(CheckContext::FailMode::kCount);
   if (options.checks) {
@@ -651,7 +652,6 @@ int cmd_suite(const CliOptions& options) {
   suite.seed = options.seed;
   suite.jobs = options.jobs == 0 ? env_jobs(1) : options.jobs;
   suite.drive.engine = drive_engine(options.engine);
-  suite.drive.engine_threads = options.engine_threads;
   suite.drive.tag_pool = options.tag_pool;
   const auto runs = run_suite(suite);
   if (options.csv) {
@@ -763,18 +763,10 @@ int cmd_system(const CliOptions& options) {
   }
 
   // The system command defaults to the strict serial reference engine
-  // (its committed baselines predate the event engine; all four engines
-  // are bit-identical, so this is a wall-clock choice only).
-  const SystemRunSummary summary = [&] {
-    if (options.engine == "parallel") {
-      return system.run_parallel(options.engine_threads);
-    }
-    if (options.engine == "event") return system.run_event();
-    if (options.engine == "event-parallel") {
-      return system.run_event_parallel(options.engine_threads);
-    }
-    return system.run();
-  }();
+  // (its committed baselines predate the event engine; both engines are
+  // bit-identical, so this is a wall-clock choice only).
+  const SystemRunSummary summary =
+      options.engine == "event" ? system.run_event() : system.run();
   census.seal();  // probes reference nodes owned by `system`
   tracer.finish();
   if (options.checks) checks.finalize();

@@ -2,18 +2,9 @@
 // carrying raw requests to remote nodes and completions back. The paper
 // leaves the fabric unspecified ("not within the scope of this paper"); we
 // model a constant per-hop latency with FIFO delivery per destination.
-//
-// The fabric is the only state shared between nodes, so it is the seam the
-// parallel engine stages (docs/PARALLELISM.md): in staged mode every send
-// lands in a per-source outbox (touched only by that node's shard), and
-// commit_staged() merges the outboxes into the delivery lanes in source-
-// node order at the barrier — exactly the order the serial engine pushes
-// in, so lane contents (and therefore every downstream result) are
-// bit-identical. Delivery stays safe during the concurrent phase because
-// node `n` only ever pops its own lanes.
+// Messages enter their lane in send order, i.e. node-tick order.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -34,19 +25,12 @@ class Interconnect {
   Interconnect(const SimConfig& config, std::uint32_t nodes)
       : hop_cycles_(config.remote_hop_cycles),
         request_lanes_(nodes),
-        completion_lanes_(nodes),
-        outboxes_(nodes) {}
+        completion_lanes_(nodes) {}
 
-  /// `src` is the sending node — serial delivery order is node-tick order,
-  /// and the staged engine reproduces it by committing outboxes in source
-  /// order.
+  /// `src` is the sending node (it selects the per-link metric).
   void send_request(const RawRequest& request, NodeId dest, Cycle now,
                     NodeId src = 0) {
     MAC3D_OBS_ACTIVITY(last_work_, now);
-    if (staged_) {
-      outboxes_.at(src).requests.push_back({dest, now + hop_cycles_, request});
-      return;
-    }
     if (consume_drop_fault()) return;
     request_lanes_.at(dest).queue.push_back({now + hop_cycles_, request});
     ++messages_;
@@ -57,11 +41,6 @@ class Interconnect {
   void send_completion(const CompletedAccess& completion, NodeId dest,
                        Cycle now, NodeId src = 0) {
     MAC3D_OBS_ACTIVITY(last_work_, now);
-    if (staged_) {
-      outboxes_.at(src).completions.push_back(
-          {dest, now + hop_cycles_, completion});
-      return;
-    }
     if (consume_drop_fault()) return;
     completion_lanes_.at(dest).queue.push_back(
         {now + hop_cycles_, completion});
@@ -71,7 +50,6 @@ class Interconnect {
   }
 
   /// Pop all requests due at or before `now` destined to `dest` (FIFO).
-  /// During the parallel phase only node `dest`'s shard may call this.
   std::vector<RawRequest> deliver_requests(NodeId dest, Cycle now) {
     std::vector<RawRequest> out = deliver(request_lanes_.at(dest), now);
     if (!out.empty()) MAC3D_OBS_ACTIVITY(last_work_, now);
@@ -84,56 +62,17 @@ class Interconnect {
   }
 
   // ---- Activity oracle (idle-cycle census, docs/OBSERVABILITY.md) --------
-  /// Stamped at sends and non-empty deliveries. The fabric is the one
-  /// component shards share during the parallel phase, so — unlike the
-  /// shard-confined slots — this one is atomic; concurrent writers all
-  /// store the same `now`, and the census reads only at serial points.
+  /// Stamped at sends and non-empty deliveries.
   [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept {
-    return last_work_.load(std::memory_order_relaxed) == now;
+    return last_work_ == now;
   }
+  /// Census stamp slot: the last cycle the fabric did work.
+  [[nodiscard]] const Cycle& last_work() const noexcept { return last_work_; }
   /// Earliest pending delivery (0 = drained) — the event-driven engine's
   /// wake-up oracle for the fabric.
   [[nodiscard]] Cycle next_activity_cycle(Cycle now) const noexcept {
     (void)now;
     return next_delivery();
-  }
-
-  // ---- Staged (parallel-engine) mode — docs/PARALLELISM.md ---------------
-  /// Enter staged mode: sends buffer into per-source outboxes. Requires a
-  /// hop latency of at least one cycle — with zero-hop delivery a serial
-  /// engine can deliver a message to a later-ticking node within the same
-  /// cycle, which no barrier schedule can reproduce.
-  void begin_staged() noexcept { staged_ = true; }
-  [[nodiscard]] bool staged() const noexcept { return staged_; }
-  void end_staged() noexcept { staged_ = false; }
-
-  /// Barrier commit: move every outbox entry into its delivery lane in
-  /// source-node order, preserving each outbox's push order (= that node's
-  /// serial send order). Runs on one thread at the barrier.
-  void commit_staged() {
-    for (std::size_t src = 0; src < outboxes_.size(); ++src) {
-      Outbox& outbox = outboxes_[src];
-      for (auto& message : outbox.requests) {
-        if (consume_drop_fault()) continue;
-        request_lanes_.at(message.dest).queue.push_back(
-            {message.due, std::move(message.payload)});
-        ++messages_;
-        ++sends_;
-        MAC3D_OBS_COUNT(link_metric(link_requests_,
-                                    static_cast<NodeId>(src), message.dest));
-      }
-      outbox.requests.clear();
-      for (auto& message : outbox.completions) {
-        if (consume_drop_fault()) continue;
-        completion_lanes_.at(message.dest).queue.push_back(
-            {message.due, std::move(message.payload)});
-        ++messages_;
-        ++sends_;
-        MAC3D_OBS_COUNT(link_metric(link_completions_,
-                                    static_cast<NodeId>(src), message.dest));
-      }
-      outbox.completions.clear();
-    }
   }
 
   [[nodiscard]] bool idle() const noexcept {
@@ -166,8 +105,7 @@ class Interconnect {
   [[nodiscard]] Cycle hop_cycles() const noexcept { return hop_cycles_; }
 
   /// Pending (sent, not yet delivered) messages destined to `dest` —
-  /// sampler probe fodder. Safe during the parallel phase only from node
-  /// `dest`'s shard; System samples at serial points.
+  /// sampler probe fodder.
   [[nodiscard]] std::size_t request_backlog(NodeId dest) const {
     return request_lanes_.at(dest).queue.size();
   }
@@ -177,10 +115,8 @@ class Interconnect {
 
   /// Register per-directed-link counters ("<prefix>.link<S><D>.requests" /
   /// ".completions") for every src != dest pair. Increments happen as a
-  /// message enters a delivery lane: at send() in serial mode and at
-  /// commit_staged() (a serial point) in staged mode, so totals are
-  /// engine-invariant. Pass nullptr to detach; the registry must outlive
-  /// the interconnect.
+  /// message enters a delivery lane. Pass nullptr to detach; the registry
+  /// must outlive the interconnect.
   void attach_metrics(MetricsRegistry* registry,
                       const std::string& prefix = "fabric") {
     link_requests_.clear();
@@ -246,21 +182,9 @@ class Interconnect {
   };
 
   template <typename T>
-  struct StagedMessage {
-    NodeId dest = 0;
-    Cycle due = 0;
-    T payload;
-  };
-
-  template <typename T>
   struct Lane {
     std::deque<Message<T>> queue;
-    std::uint64_t delivered = 0;  ///< lane-local: safe during the phase
-  };
-
-  struct Outbox {
-    std::vector<StagedMessage<RawRequest>> requests;
-    std::vector<StagedMessage<CompletedAccess>> completions;
+    std::uint64_t delivered = 0;
   };
 
   template <typename T>
@@ -276,8 +200,7 @@ class Interconnect {
   }
 
   /// One-shot drop fault; consumed at the point a message would enter a
-  /// lane (send in serial mode, commit in staged mode) so both engines
-  /// lose the same message.
+  /// lane.
   [[nodiscard]] bool consume_drop_fault() noexcept {
     if (!drop_next_) return false;
     drop_next_ = false;
@@ -298,10 +221,8 @@ class Interconnect {
   std::uint64_t sends_ = 0;
   std::vector<Lane<RawRequest>> request_lanes_;
   std::vector<Lane<CompletedAccess>> completion_lanes_;
-  std::vector<Outbox> outboxes_;
-  bool staged_ = false;
   bool drop_next_ = false;
-  std::atomic<Cycle> last_work_{~Cycle{0}};  ///< census slot (see oracle)
+  Cycle last_work_ = ~Cycle{0};  ///< census slot (MAC3D_OBS_ACTIVITY)
   CheckContext* checks_ = nullptr;
   std::vector<MetricCounter*> link_requests_;
   std::vector<MetricCounter*> link_completions_;

@@ -5,12 +5,8 @@
 //   * Global Access Queue — local cores -> remote nodes (via interconnect)
 //   * Remote Access Queue — remote nodes -> local 3D-stacked memory
 //
-// Thread confinement (docs/PARALLELISM.md): a router belongs to exactly
-// one node, and under System::run_parallel only that node's shard touches
-// it during the concurrent phase — remote traffic reaches it through the
-// staged interconnect, whose outboxes commit at the barrier. Keep it that
-// way: any new member that another node could reach mid-cycle must go
-// through the fabric's staging instead of being called directly.
+// A router belongs to exactly one node; remote traffic reaches it only
+// through the interconnect.
 #pragma once
 
 #include <cstdint>
@@ -145,9 +141,7 @@ class RequestRouter {
   }
 
   /// Register this router's counters under `prefix` (e.g. "node3.router")
-  /// in `registry`. Counter adds are relaxed-atomic and this router is
-  /// shard-confined, so hot-path updates stay deterministic under
-  /// run_parallel. Pass nullptr to detach. The registry must outlive the
+  /// in `registry`. Pass nullptr to detach. The registry must outlive the
   /// router.
   void attach_metrics(MetricsRegistry* registry, const std::string& prefix) {
     if (registry == nullptr) {

@@ -6,7 +6,6 @@
 #include "obs/obs.hpp"
 #include "obs/profiler.hpp"
 #include "obs/snapshot.hpp"
-#include "sim/parallel.hpp"
 
 namespace mac3d {
 
@@ -41,10 +40,7 @@ void System::attach_census(ActivityCensus* census) {
   if (census == nullptr) return;
   for (const auto& node : nodes_) node->attach_census(*census);
   if (nodes_.size() <= 1) return;
-  // Generic row: the fabric's slot is atomic (staged engines stamp it).
-  census->add_component("fabric", [&fabric = *fabric_](Cycle now) {
-    return fabric.did_work_this_cycle(now);
-  });
+  census->add_stamp("fabric", fabric_->last_work());
 }
 
 void System::register_probes() {
@@ -135,71 +131,13 @@ void System::attach_trace(const MemoryTrace& trace) {
 
 void System::validate_engine_config(const char* engine_name) const {
   if (nodes_.size() > 1 && config_.remote_hop_cycles == 0) {
-    // A zero-hop fabric lets a serial engine deliver a message to a
-    // later-ticking node within the sending cycle — unreproducible under
-    // any barrier schedule, so every engine refuses it uniformly rather
-    // than letting the serial engines silently diverge from the staged
-    // ones (the equivalence grid relies on identical accept/reject).
+    // A zero-hop fabric delivers a message within the sending cycle, so
+    // whether the receiver sees it that cycle would depend on node tick
+    // order (only later-ticking nodes would) — an artifact of the loop,
+    // not of the model. Both engines refuse it uniformly.
     throw std::invalid_argument(std::string("System::") + engine_name +
                                 " requires remote_hop_cycles >= 1 (got 0)");
   }
-}
-
-SystemRunSummary System::run(Cycle max_cycles) {
-  validate_engine_config("run");
-  Interconnect* fabric = nodes_.size() > 1 ? fabric_.get() : nullptr;
-  register_probes();
-
-  bool completed = false;
-  Cycle now = 0;
-  try {
-    for (; now < max_cycles; ++now) {
-      {
-        HostProfiler::Scope scope(profiler_, HostPhase::kTick);
-        for (auto& node : nodes_) node->tick(now, fabric);
-      }
-      if (census_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kTelemetry);
-        census_->observe(now);
-      }
-      if (sampler_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
-        sampler_->advance_to(now);
-      }
-      if (snapshot_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
-        snapshot_->advance_to(now);
-        // A fired watchdog abandons the run (summary.completed stays
-        // false) — the only exit a stalled system has short of
-        // max_cycles.
-        if (snapshot_->watchdog_fired()) break;
-      }
-
-      bool drained = fabric == nullptr || fabric->idle();
-      if (drained) {
-        for (const auto& node : nodes_) {
-          if (!node->drained()) {
-            drained = false;
-            break;
-          }
-        }
-      }
-      if (drained) {
-        completed = true;
-        ++now;
-        break;
-      }
-    }
-  } catch (...) {
-    if (sampler_ != nullptr) sampler_->abort_run();
-    if (snapshot_ != nullptr) snapshot_->abort_run();
-    throw;
-  }
-  if (sampler_ != nullptr) sampler_->end_run(now);
-  if (snapshot_ != nullptr) snapshot_->end_run(now);
-  const SystemRunSummary summary = summarize(now, completed);
-  finalize_metrics(summary);
-  return summary;
 }
 
 Cycle System::next_wake(Cycle now, const Interconnect* fabric,
@@ -235,8 +173,25 @@ void System::credit_skip(Cycle now, Cycle next) {
   }
 }
 
+SystemRunSummary System::run(Cycle max_cycles) {
+  return run_loop("run", false, max_cycles);
+}
+
 SystemRunSummary System::run_event(Cycle max_cycles) {
-  validate_engine_config("run_event");
+  return run_loop("run_event", true, max_cycles);
+}
+
+bool System::drained(const Interconnect* fabric) const {
+  if (fabric != nullptr && !fabric->idle()) return false;
+  for (const auto& node : nodes_) {
+    if (!node->drained()) return false;
+  }
+  return true;
+}
+
+SystemRunSummary System::run_loop(const char* engine_name, bool event,
+                                  Cycle max_cycles) {
+  validate_engine_config(engine_name);
   Interconnect* fabric = nodes_.size() > 1 ? fabric_.get() : nullptr;
   register_probes();
 
@@ -266,20 +221,16 @@ SystemRunSummary System::run_event(Cycle max_cycles) {
         // max_cycles.
         if (snapshot_->watchdog_fired()) break;
       }
-
-      bool drained = fabric == nullptr || fabric->idle();
-      if (drained) {
-        for (const auto& node : nodes_) {
-          if (!node->drained()) {
-            drained = false;
-            break;
-          }
-        }
-      }
-      if (drained) {
+      if (drained(fabric)) {
         completed = true;
         ++now;
         break;
+      }
+      // The only fork between the engines: the strict loop steps one
+      // cycle, the event engine jumps to the next wake-up.
+      if (!event) {
+        ++now;
+        continue;
       }
       const Cycle next = next_wake(now, fabric, max_cycles);
       credit_skip(now, next);
@@ -293,197 +244,7 @@ SystemRunSummary System::run_event(Cycle max_cycles) {
   if (sampler_ != nullptr) sampler_->end_run(now);
   if (snapshot_ != nullptr) snapshot_->end_run(now);
   SystemRunSummary summary = summarize(now, completed);
-  summary.visited_cycles = visited;
-  finalize_metrics(summary);
-  return summary;
-}
-
-SystemRunSummary System::run_parallel(std::uint32_t threads,
-                                      Cycle max_cycles) {
-  validate_engine_config("run_parallel");
-  Interconnect* fabric = nodes_.size() > 1 ? fabric_.get() : nullptr;
-  ParallelStepper stepper(threads);
-  stepper.attach_profiler(profiler_);
-  if (profiler_ != nullptr) profiler_->set_worker_count(stepper.thread_count());
-
-  // Per-node telemetry mailboxes: each shard stamps into its own buffer
-  // during the concurrent phase; the buffers flush to the user's sink in
-  // node order after the barrier — the serial engine's exact stamp stream.
-  std::vector<BufferedSink> buffers(sink_ != nullptr ? nodes_.size() : 0);
-  if (sink_ != nullptr) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      nodes_[i]->attach_sink(&buffers[i]);
-    }
-  }
-  if (fabric != nullptr) fabric->begin_staged();
-  register_probes();
-
-  bool completed = false;
-  Cycle now = 0;
-  try {
-    for (; now < max_cycles; ++now) {
-      {
-        HostProfiler::Scope scope(profiler_, HostPhase::kTick);
-        stepper.for_shards(nodes_.size(), [this, now, fabric](std::size_t i) {
-          nodes_[i]->tick(now, fabric);
-        });
-      }
-      {
-        // Barrier: cross-shard effects apply in canonical order.
-        HostProfiler::Scope scope(profiler_, HostPhase::kCommit);
-        if (fabric != nullptr) fabric->commit_staged();
-        if (sink_ != nullptr) {
-          for (BufferedSink& buffer : buffers) buffer.flush(*sink_);
-        }
-      }
-      if (census_ != nullptr) {
-        // Same serial point as run(): post-barrier, pre-sampler — census
-        // exports stay byte-identical across engines.
-        HostProfiler::Scope scope(profiler_, HostPhase::kTelemetry);
-        census_->observe(now);
-      }
-      if (sampler_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
-        sampler_->advance_to(now);
-      }
-      if (snapshot_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
-        snapshot_->advance_to(now);
-        // A fired watchdog abandons the run (summary.completed stays
-        // false) — the only exit a stalled system has short of
-        // max_cycles.
-        if (snapshot_->watchdog_fired()) break;
-      }
-
-      bool drained = fabric == nullptr || fabric->idle();
-      if (drained) {
-        for (const auto& node : nodes_) {
-          if (!node->drained()) {
-            drained = false;
-            break;
-          }
-        }
-      }
-      if (drained) {
-        completed = true;
-        ++now;
-        break;
-      }
-    }
-  } catch (...) {
-    // Re-point the nodes at the durable sink before the local buffers die
-    // (kThrow-mode breaches unwind through here).
-    if (sink_ != nullptr) {
-      for (const auto& node : nodes_) node->attach_sink(sink_);
-    }
-    if (fabric != nullptr) fabric->end_staged();
-    if (sampler_ != nullptr) sampler_->abort_run();
-    if (snapshot_ != nullptr) snapshot_->abort_run();
-    throw;
-  }
-  if (sink_ != nullptr) {
-    for (const auto& node : nodes_) node->attach_sink(sink_);
-  }
-  if (fabric != nullptr) fabric->end_staged();
-  if (sampler_ != nullptr) sampler_->end_run(now);
-  if (snapshot_ != nullptr) snapshot_->end_run(now);
-  const SystemRunSummary summary = summarize(now, completed);
-  finalize_metrics(summary);
-  return summary;
-}
-
-SystemRunSummary System::run_event_parallel(std::uint32_t threads,
-                                            Cycle max_cycles) {
-  validate_engine_config("run_event_parallel");
-  Interconnect* fabric = nodes_.size() > 1 ? fabric_.get() : nullptr;
-  ParallelStepper stepper(threads);
-  stepper.attach_profiler(profiler_);
-  if (profiler_ != nullptr) profiler_->set_worker_count(stepper.thread_count());
-
-  std::vector<BufferedSink> buffers(sink_ != nullptr ? nodes_.size() : 0);
-  if (sink_ != nullptr) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      nodes_[i]->attach_sink(&buffers[i]);
-    }
-  }
-  if (fabric != nullptr) fabric->begin_staged();
-  register_probes();
-
-  bool completed = false;
-  Cycle now = 0;
-  std::uint64_t visited = 0;
-  try {
-    while (now < max_cycles) {
-      ++visited;
-      {
-        HostProfiler::Scope scope(profiler_, HostPhase::kTick);
-        stepper.for_shards(nodes_.size(), [this, now, fabric](std::size_t i) {
-          nodes_[i]->tick(now, fabric);
-        });
-      }
-      {
-        HostProfiler::Scope scope(profiler_, HostPhase::kCommit);
-        if (fabric != nullptr) fabric->commit_staged();
-        if (sink_ != nullptr) {
-          for (BufferedSink& buffer : buffers) buffer.flush(*sink_);
-        }
-      }
-      if (census_ != nullptr) {
-        // Same serial point as every other engine: post-barrier.
-        HostProfiler::Scope scope(profiler_, HostPhase::kTelemetry);
-        census_->observe(now);
-      }
-      if (sampler_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
-        sampler_->advance_to(now);
-      }
-      if (snapshot_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
-        snapshot_->advance_to(now);
-        // A fired watchdog abandons the run (summary.completed stays
-        // false) — the only exit a stalled system has short of
-        // max_cycles.
-        if (snapshot_->watchdog_fired()) break;
-      }
-
-      bool drained = fabric == nullptr || fabric->idle();
-      if (drained) {
-        for (const auto& node : nodes_) {
-          if (!node->drained()) {
-            drained = false;
-            break;
-          }
-        }
-      }
-      if (drained) {
-        completed = true;
-        ++now;
-        break;
-      }
-      // Post-commit serial point: the staged fabric's lanes are up to
-      // date, so the jump target sees the same state the serial engine
-      // would.
-      const Cycle next = next_wake(now, fabric, max_cycles);
-      credit_skip(now, next);
-      now = next;
-    }
-  } catch (...) {
-    if (sink_ != nullptr) {
-      for (const auto& node : nodes_) node->attach_sink(sink_);
-    }
-    if (fabric != nullptr) fabric->end_staged();
-    if (sampler_ != nullptr) sampler_->abort_run();
-    if (snapshot_ != nullptr) snapshot_->abort_run();
-    throw;
-  }
-  if (sink_ != nullptr) {
-    for (const auto& node : nodes_) node->attach_sink(sink_);
-  }
-  if (fabric != nullptr) fabric->end_staged();
-  if (sampler_ != nullptr) sampler_->end_run(now);
-  if (snapshot_ != nullptr) snapshot_->end_run(now);
-  SystemRunSummary summary = summarize(now, completed);
-  summary.visited_cycles = visited;
+  if (event) summary.visited_cycles = visited;
   finalize_metrics(summary);
   return summary;
 }

@@ -29,7 +29,7 @@ struct SystemRunSummary {
   std::uint64_t completions = 0;
   double avg_latency_cycles = 0.0;
   /// Cycles the engine actually ticked (== cycles for the strict cycle
-  /// engines; the event engines' skip ratio is cycles / visited_cycles).
+  /// engine; the event engine's skip ratio is cycles / visited_cycles).
   /// Deliberately NOT in `stats`, so exports stay engine-invariant.
   std::uint64_t visited_cycles = 0;
   StatSet stats;
@@ -44,22 +44,10 @@ class System {
   /// The trace must outlive the system.
   void attach_trace(const MemoryTrace& trace);
 
-  /// Run until every thread drains (or `max_cycles`). Multi-node configs
-  /// require remote_hop_cycles >= 1 — enforced uniformly across all four
-  /// engines (a zero-hop fabric delivers within the sending cycle, which
-  /// the staged engines cannot reproduce, so no engine may accept it).
+  /// Run until every thread drains (or `max_cycles`), ticking every
+  /// cycle. Multi-node configs require remote_hop_cycles >= 1, enforced
+  /// by both engines: a zero-hop delivery would depend on node tick order.
   SystemRunSummary run(Cycle max_cycles = 2'000'000'000ULL);
-
-  /// Node-sharded parallel run (docs/PARALLELISM.md): all nodes advance
-  /// concurrently inside each cycle on a ParallelStepper worker pool; the
-  /// fabric runs staged (per-source outboxes committed in node order at
-  /// the barrier) and telemetry stamps flush through per-node
-  /// BufferedSinks in node order. Bit-identical to run() for any
-  /// `threads` (0 = hardware concurrency). Requires remote_hop_cycles
-  /// >= 1 in multi-node configs: a zero-hop fabric can deliver within
-  /// the sending cycle, which no barrier schedule reproduces.
-  SystemRunSummary run_parallel(std::uint32_t threads,
-                                Cycle max_cycles = 2'000'000'000ULL);
 
   /// Event-driven fast-forward run (docs/PARALLELISM.md §event-driven
   /// engine): after each visited cycle the clock jumps to the minimum of
@@ -68,13 +56,6 @@ class System {
   /// tick. Bit-identical to run() — same cycles, stats, metrics, census —
   /// enforced by tests/test_parallel_equivalence.cpp.
   SystemRunSummary run_event(Cycle max_cycles = 2'000'000'000ULL);
-
-  /// Event-driven fast-forward over the node-sharded parallel engine
-  /// (staged fabric + worker pool, same jump rule as run_event).
-  /// Bit-identical to run() for any `threads`; same zero-hop restriction
-  /// as run_parallel.
-  SystemRunSummary run_event_parallel(std::uint32_t threads,
-                                      Cycle max_cycles = 2'000'000'000ULL);
 
   [[nodiscard]] Node& node(std::size_t i) { return *nodes_.at(i); }
   [[nodiscard]] std::size_t node_count() const noexcept {
@@ -90,30 +71,27 @@ class System {
 
   /// Enable request-lifecycle telemetry on every node
   /// (docs/OBSERVABILITY.md). The sink must outlive the system; pass
-  /// nullptr to detach. run_parallel() interposes per-node buffers and
-  /// flushes them to this sink in canonical node order each cycle, so the
-  /// sink itself needs no thread safety.
+  /// nullptr to detach.
   void attach_sink(EventSink* sink);
 
   /// Register per-node ("node<i>.router.*", "node<i>.completions") and
   /// fabric ("fabric.link<S><D>.*") metrics in `registry`
-  /// (docs/OBSERVABILITY.md §multi-node). Counter updates are relaxed-
-  /// atomic and namespace-confined to one shard, gauges are written only
-  /// at end-of-run, so serial and run_parallel exports are byte-identical.
-  /// The registry must outlive the system; pass nullptr to detach.
+  /// (docs/OBSERVABILITY.md §multi-node). Gauges are written only at
+  /// end-of-run, so the cycle and event engines export byte-identical
+  /// registries. The registry must outlive the system; pass nullptr to
+  /// detach.
   void attach_metrics(MetricsRegistry* registry);
 
-  /// Attach a periodic sampler: run()/run_parallel() register per-node
-  /// router-occupancy and fabric-backlog probes and advance it at serial
-  /// points (after every full-system cycle — post-barrier under
-  /// run_parallel), so the CSV is engine-invariant. The sampler must
-  /// outlive the system; pass nullptr to detach.
+  /// Attach a periodic sampler: both engines register per-node
+  /// router-occupancy and fabric-backlog probes and advance it after
+  /// every full-system cycle, so the CSV is engine-invariant. The sampler
+  /// must outlive the system; pass nullptr to detach.
   void attach_sampler(CycleSampler* sampler) noexcept { sampler_ = sampler; }
 
   /// Attach an idle-cycle census (docs/OBSERVABILITY.md §profiler):
   /// registers every node's components plus the fabric, and both engines
-  /// observe it once per cycle at the same serial point (post-barrier
-  /// under run_parallel), so census exports are engine-invariant. At
+  /// observe it once per visited cycle after the cycle's work, so census
+  /// exports are engine-invariant. At
   /// end-of-run the counts are exported into the attached metrics
   /// registry. The census must outlive the system (its probes capture
   /// components by reference — seal before teardown); pass nullptr to
@@ -124,30 +102,35 @@ class System {
   /// §streaming snapshots): every engine opens a "system" run, registers
   /// the reserved injected/completions counters (aggregated over nodes)
   /// plus a router-backlog gauge, advances the streamer at the common
-  /// serial point and treats window boundaries as mandatory landing
-  /// cycles for the event engines — the JSONL stream is byte-identical
-  /// across all four engines. A StallWatchdog attached to the streamer
+  /// end of every cycle and treats window boundaries as mandatory landing
+  /// cycles for the event engine — the JSONL stream is byte-identical
+  /// across both engines. A StallWatchdog attached to the streamer
   /// abandons the run the window it fires (summary.completed == false).
   /// The streamer must outlive the system; pass nullptr to detach.
   void attach_snapshot(SnapshotStreamer* snapshot) noexcept {
     snapshot_ = snapshot;
   }
 
-  /// Attach host wall-clock attribution: run()/run_parallel() time their
-  /// tick / commit / telemetry / sampler phases, and run_parallel
-  /// additionally records per-worker busy time. Host time never feeds
-  /// back into simulated time — simulated results are identical with or
-  /// without a profiler. Pass nullptr to detach.
+  /// Attach host wall-clock attribution: both engines time their
+  /// tick / telemetry / sampler phases. Host time never feeds back into
+  /// simulated time — simulated results are identical with or without a
+  /// profiler. Pass nullptr to detach.
   void attach_profiler(HostProfiler* profiler) noexcept {
     profiler_ = profiler;
   }
 
  private:
-  /// Engine-independent config validation, run at the top of all four
-  /// run_* entry points so no engine accepts a config another rejects
-  /// (the equivalence grid depends on uniform accept/reject behaviour).
-  /// `engine_name` labels the thrown std::invalid_argument.
+  /// The one run loop behind run() and run_event(): tick, census,
+  /// sampler/snapshot, watchdog, drained — then step one cycle (strict)
+  /// or jump to next_wake (event). `engine_name` labels a rejected config.
+  SystemRunSummary run_loop(const char* engine_name, bool event,
+                            Cycle max_cycles);
+  /// Engine-independent config validation, run at the top of the loop so
+  /// neither engine accepts a config the other rejects. `engine_name`
+  /// labels the thrown std::invalid_argument.
   void validate_engine_config(const char* engine_name) const;
+  /// Every node drained and (multi-node) the fabric idle.
+  [[nodiscard]] bool drained(const Interconnect* fabric) const;
   /// Shared end-of-run accounting (node order, both engines).
   SystemRunSummary summarize(Cycle cycles, bool completed) const;
   /// Event-engine jump target after ticking `now`: the minimum of every
@@ -161,7 +144,7 @@ class System {
   void credit_skip(Cycle now, Cycle next);
   /// begin_run + per-node/fabric probe registration (no-op when detached).
   void register_probes();
-  /// End-of-run gauge writes (serial point; see attach_metrics).
+  /// End-of-run gauge writes (see attach_metrics).
   void finalize_metrics(const SystemRunSummary& summary);
 
   SimConfig config_;

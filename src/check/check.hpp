@@ -14,11 +14,9 @@
 // check site out entirely (MAC3D_CHECK expands to nothing).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -87,12 +85,11 @@ class InvariantViolation : public std::runtime_error {
 /// tearing the pipeline down, and finalize() clears the registered hooks
 /// so a context can be reused across runs (counters accumulate).
 ///
-/// Thread safety: check sites may fire concurrently from the parallel
-/// engine's node shards (docs/PARALLELISM.md), so the hot counter is a
-/// relaxed atomic and breach recording takes a mutex. Relaxed ordering is
-/// enough — counters are only *read* after the engine's barrier, which
-/// orders them. finalize() itself is not concurrent (drivers call it on
-/// one thread after the run).
+/// Threading contract: a context belongs to one run at a time. Nothing
+/// inside a run is concurrent, and run-level parallelism (run_suite's and
+/// `mac3d run`'s --jobs) falls back to one run at a time whenever a
+/// context is attached (docs/PARALLELISM.md), so the counters are plain
+/// integers and nothing is locked.
 class CheckContext {
  public:
   enum class FailMode {
@@ -107,9 +104,7 @@ class CheckContext {
   void fail(const Invariant& invariant, Cycle cycle, std::string detail);
 
   /// Cheap per-site instrumentation (how many checks actually ran).
-  void count_check() noexcept {
-    checks_run_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void count_check() noexcept { ++checks_run_; }
 
   /// Register an end-of-run hook (e.g. "no request is still in flight").
   /// Hooks may capture components by reference; finalize() must run before
@@ -120,10 +115,10 @@ class CheckContext {
   void finalize();
 
   [[nodiscard]] std::uint64_t checks_run() const noexcept {
-    return checks_run_.load(std::memory_order_relaxed);
+    return checks_run_;
   }
   [[nodiscard]] std::uint64_t violations() const noexcept {
-    return violations_.load(std::memory_order_relaxed);
+    return violations_;
   }
   [[nodiscard]] std::uint64_t violations(std::string_view id) const;
   [[nodiscard]] const std::map<std::string, std::uint64_t, std::less<>>&
@@ -146,9 +141,8 @@ class CheckContext {
 
  private:
   FailMode mode_;
-  std::atomic<std::uint64_t> checks_run_{0};
-  std::atomic<std::uint64_t> violations_{0};
-  mutable std::mutex mutex_;  ///< guards by_id_, first_failures_, finalizers_
+  std::uint64_t checks_run_ = 0;
+  std::uint64_t violations_ = 0;
   std::map<std::string, std::uint64_t, std::less<>> by_id_;
   std::vector<Violation> first_failures_;
   std::vector<std::function<void(CheckContext&)>> finalizers_;

@@ -80,9 +80,7 @@ Cycle HmcDevice::submit(HmcRequest request, Cycle now) {
     throw std::invalid_argument("HmcDevice: packet crosses a row boundary");
   }
 
-  // Deliberate one-shot model bugs for the invariant test suite. Faults
-  // are consumed at submit time in both modes, so the armed request is
-  // the same one regardless of engine.
+  // Deliberate one-shot model bugs for the invariant test suite.
   if (fault_ == Fault::kDropTarget && !request.targets.empty()) {
     request.targets.pop_back();
     fault_ = Fault::kNone;
@@ -93,35 +91,11 @@ Cycle HmcDevice::submit(HmcRequest request, Cycle now) {
     fault_ = Fault::kNone;
   }
 
-  StagedSubmit entry;
-  entry.now = now;
-  entry.req_flits = req_flits;
-  entry.local = local;
-  entry.row = row;
-  entry.vault = map_.vault_of(row);
-  entry.request = std::move(request);
-
-  if (staged_mode_) {
-    // Buffered in submission order; timed and committed at the next
-    // step_staged() barrier. Callers ignore the returned cycle.
-    staged_.push_back(std::move(entry));
-    return 0;
-  }
-
-  time_staged(entry);
-  const Cycle completed = entry.completed;
-  commit_staged(entry);
-  return completed;
-}
-
-void HmcDevice::time_staged(StagedSubmit& entry) {
-  Link& link = links_[link_of(entry.vault)];
-  const HmcRequest& request = entry.request;
-
   // Request path: link serialization -> SerDes -> vault controller.
-  const Cycle at_device =
-      link.send_request(entry.now, entry.req_flits) + config_.t_serdes;
-  entry.at_bank = at_device + config_.t_vault_ctrl;
+  const std::uint32_t vault = map_.vault_of(row);
+  Link& link = links_[link_of(vault)];
+  const Cycle at_device = link.send_request(now, req_flits) + config_.t_serdes;
+  const Cycle at_bank = at_device + config_.t_vault_ctrl;
 
   // Bank access. Atomics hold the bank slightly longer for the
   // read-modify-write in the logic layer.
@@ -129,27 +103,23 @@ void HmcDevice::time_staged(StagedSubmit& entry) {
       static_cast<Cycle>(data_flits(request.data_bytes)) *
           config_.t_row_data_flit +
       (request.atomic ? 8 : 0);
-  Bank& bank = banks_[map_.global_bank(entry.row)];
-  entry.sched =
+  Bank& bank = banks_[map_.global_bank(row)];
+  const Bank::Schedule sched =
       config_.open_page
-          ? bank.access_open_page(entry.at_bank, entry.row,
-                                  config_.t_bank_activate,
+          ? bank.access_open_page(at_bank, row, config_.t_bank_activate,
                                   config_.t_bank_cas + data_cycles,
                                   config_.t_bank_precharge)
-          : bank.access(entry.at_bank, config_.t_bank_access + data_cycles,
+          : bank.access(at_bank, config_.t_bank_access + data_cycles,
                         config_.t_bank_precharge);
-  entry.bank_free_at = bank.free_at();
+  const Cycle bank_free_at = bank.free_at();
 
   // Response path: vault controller -> link serialization -> SerDes.
-  entry.resp_flits = response_flits(request.data_bytes, request.write);
-  const Cycle resp_ready = entry.sched.data_ready + config_.t_vault_ctrl;
-  entry.completed =
-      link.send_response(resp_ready, entry.resp_flits) + config_.t_serdes;
-}
+  const std::uint32_t resp_flits =
+      response_flits(request.data_bytes, request.write);
+  const Cycle resp_ready = sched.data_ready + config_.t_vault_ctrl;
+  const Cycle completed =
+      link.send_response(resp_ready, resp_flits) + config_.t_serdes;
 
-void HmcDevice::commit_staged(StagedSubmit& entry) {
-  HmcRequest& request = entry.request;
-  const Bank::Schedule& sched = entry.sched;
   stats_.row_hits += sched.row_hit ? 1 : 0;
 
 #if MAC3D_OBS_ENABLED
@@ -157,8 +127,7 @@ void HmcDevice::commit_staged(StagedSubmit& entry) {
     // Raw-path and MAC packets carry the merged target identities; stamp
     // each one at link handoff and at the scheduled bank-access start.
     for (const Target& target : request.targets) {
-      sink_->on_stage(Stage::kLinkSerialize, target.tid, target.tag,
-                      entry.now);
+      sink_->on_stage(Stage::kLinkSerialize, target.tid, target.tag, now);
       sink_->on_stage(Stage::kBankAccess, target.tid, target.tag, sched.start);
     }
   }
@@ -166,28 +135,25 @@ void HmcDevice::commit_staged(StagedSubmit& entry) {
 
 #if MAC3D_CHECKS_ENABLED
   if (checker_ != nullptr) {
-    checker_->on_bank_access(map_.global_bank(entry.row), entry.at_bank,
-                             sched.start, sched.data_ready, entry.bank_free_at,
-                             sched.conflict, entry.now);
-    checker_->on_packet(request.data_bytes, request.write, entry.req_flits,
-                        entry.resp_flits,
-                        static_cast<std::uint64_t>(entry.req_flits +
-                                                   entry.resp_flits) *
-                            kFlitBytes,
-                        entry.now, sched.data_ready, entry.completed);
+    checker_->on_bank_access(map_.global_bank(row), at_bank, sched.start,
+                             sched.data_ready, bank_free_at, sched.conflict,
+                             now);
+    checker_->on_packet(
+        request.data_bytes, request.write, req_flits, resp_flits,
+        static_cast<std::uint64_t>(req_flits + resp_flits) * kFlitBytes, now,
+        sched.data_ready, completed);
     const auto row_offset =
-        static_cast<std::uint32_t>(entry.local - map_.row_base(entry.row));
+        static_cast<std::uint32_t>(local - map_.row_base(row));
     for (const Target& target : request.targets) {
-      checker_->on_target(target.flit, row_offset, request.data_bytes,
-                          entry.now);
+      checker_->on_target(target.flit, row_offset, request.data_bytes, now);
     }
   }
 #endif
 
   // Busy thresholds: running maxima, exact because free_at only grows.
-  Cycle& vault_until = vault_busy_until_[entry.vault];
-  vault_until = std::max(vault_until, entry.bank_free_at);
-  banks_busy_until_ = std::max(banks_busy_until_, entry.bank_free_at);
+  Cycle& vault_until = vault_busy_until_[vault];
+  vault_until = std::max(vault_until, bank_free_at);
+  banks_busy_until_ = std::max(banks_busy_until_, bank_free_at);
 
   // Accounting.
   ++stats_.requests;
@@ -198,12 +164,11 @@ void HmcDevice::commit_staged(StagedSubmit& entry) {
   stats_.refresh_stalls += sched.refresh_stall ? 1 : 0;
   stats_.data_bytes += request.data_bytes;
   const std::uint64_t wire =
-      static_cast<std::uint64_t>(entry.req_flits + entry.resp_flits) *
-      kFlitBytes;
+      static_cast<std::uint64_t>(req_flits + resp_flits) * kFlitBytes;
   stats_.link_bytes += wire;
   stats_.overhead_bytes += wire - request.data_bytes;
-  stats_.latency_cycles.add(static_cast<double>(entry.completed - entry.now));
-  stats_.latency_hist.add(entry.completed - entry.now);
+  stats_.latency_cycles.add(static_cast<double>(completed - now));
+  stats_.latency_hist.add(completed - now);
   stats_.packet_data_bytes.add(static_cast<double>(request.data_bytes));
 
   HmcResponse response;
@@ -211,9 +176,10 @@ void HmcDevice::commit_staged(StagedSubmit& entry) {
   response.addr = request.addr;
   response.data_bytes = request.data_bytes;
   response.write = request.write;
-  response.completed = entry.completed;
+  response.completed = completed;
   response.targets = std::move(request.targets);
   pending_.push(std::move(response));
+  return completed;
 }
 
 std::vector<HmcResponse> HmcDevice::drain(Cycle now) {
@@ -261,7 +227,6 @@ void HmcDevice::reset() {
   std::fill(vault_busy_until_.begin(), vault_busy_until_.end(), Cycle{0});
   banks_busy_until_ = 0;
   pending_ = {};
-  staged_.clear();
   stats_ = {};
   fault_ = Fault::kNone;
   if (checks_ != nullptr) attach_checks(checks_);  // clear bank history

@@ -71,50 +71,7 @@ class HmcDevice {
 
   /// Schedule a request submitted at `now`. Returns the completion cycle.
   /// The response is retrievable via drain() once `now >= completion`.
-  /// In staged mode (docs/PARALLELISM.md) the request is validated and
-  /// buffered instead and 0 is returned; timing and accounting happen at
-  /// the next step_staged() barrier. All in-tree paths dispatch at most
-  /// one packet per cycle and ignore the return value, so the two modes
-  /// are observably identical.
   Cycle submit(HmcRequest request, Cycle now);
-
-  // ---- Staged (parallel-engine) stepping — docs/PARALLELISM.md -----------
-  /// Enter staged mode: submit() buffers requests into per-link-quadrant
-  /// inboxes instead of timing them inline. Each quadrant (one external
-  /// link plus the banks of the vaults it serves) has fully disjoint
-  /// mutable state, so quadrants are the device's shard unit.
-  void begin_staged() noexcept { staged_mode_ = true; }
-  [[nodiscard]] bool staged() const noexcept { return staged_mode_; }
-
-  /// Barrier step: phase A times all staged requests, sharded by link
-  /// quadrant across `stepper` (each shard mutates only its own Link and
-  /// Banks, in staging order); phase B then commits stats, telemetry,
-  /// checker hooks and responses serially in global staging order —
-  /// reproducing the exact serial interleaving, so results are
-  /// bit-identical to unstaged submit() for any thread count.
-  ///
-  /// Templated on the stepper (normally sim's ParallelStepper — mem cannot
-  /// link sim) — anything with for_shards(count, fn) works.
-  template <typename Stepper>
-  void step_staged(Stepper& stepper) {
-    if (staged_.empty()) return;
-    std::vector<std::vector<std::size_t>> by_shard(links_.size());
-    for (std::size_t i = 0; i < staged_.size(); ++i) {
-      by_shard[link_of(staged_[i].vault)].push_back(i);
-    }
-    std::vector<std::size_t> active;
-    for (std::size_t shard = 0; shard < by_shard.size(); ++shard) {
-      if (!by_shard[shard].empty()) active.push_back(shard);
-    }
-    stepper.for_shards(active.size(), [this, &by_shard,
-                                      &active](std::size_t index) {
-      for (const std::size_t entry : by_shard[active[index]]) {
-        time_staged(staged_[entry]);
-      }
-    });
-    for (StagedSubmit& entry : staged_) commit_staged(entry);
-    staged_.clear();
-  }
 
   /// Pop all responses completed at or before `now` (completion order).
   std::vector<HmcResponse> drain(Cycle now);
@@ -181,7 +138,7 @@ class HmcDevice {
 
   // ---- Busy thresholds (census threshold rows) ---------------------------
   // Every device activity probe has the form "active iff now < threshold".
-  // The bank thresholds are running maxima kept at commit (exact, since a
+  // The bank thresholds are running maxima kept at submit (exact, since a
   // bank's free_at never decreases), and all thresholds are frozen while
   // the event engine fast-forwards (no submits happen mid-span), so the
   // active cycles inside a skipped span are exactly countable — that is
@@ -205,9 +162,9 @@ class HmcDevice {
   /// Register this device's idle-cycle census threshold rows under
   /// `prefix` (e.g. "node0."): `<prefix>banks`, `<prefix>vault<V>` and
   /// `<prefix>link<L>`. Templated on the census (normally obs's
-  /// ActivityCensus — mem avoids the link dependency the same way
-  /// step_staged avoids sim's). The device must outlive the census's
-  /// observed run; seal the census before tearing the device down.
+  /// ActivityCensus — mem avoids the link dependency). The device must
+  /// outlive the census's observed run; seal the census before tearing
+  /// the device down.
   template <typename Census>
   void register_census(Census& census, const std::string& prefix) const {
     census.add_threshold(prefix + "banks", banks_busy_until());
@@ -243,30 +200,6 @@ class HmcDevice {
   void attach_sink(EventSink* sink) noexcept { sink_ = sink; }
 
  private:
-  /// One validated submission awaiting the staged barrier. Timing fields
-  /// are filled by phase A (parallel, shard-local); phase B reads them.
-  struct StagedSubmit {
-    HmcRequest request;  ///< after one-shot fault application
-    Cycle now = 0;
-    std::uint32_t req_flits = 0;
-    std::uint32_t vault = 0;
-    Address local = 0;
-    std::uint64_t row = 0;
-    // -- phase A results --
-    Bank::Schedule sched;
-    Cycle at_bank = 0;
-    Cycle completed = 0;
-    Cycle bank_free_at = 0;
-    std::uint32_t resp_flits = 0;
-  };
-
-  /// Time one staged submission against its quadrant's link and bank
-  /// (phase A work — touches only shard-local state).
-  void time_staged(StagedSubmit& entry);
-  /// Commit one timed submission: stats, telemetry, checker hooks,
-  /// response enqueue (phase B work — serial, global staging order).
-  void commit_staged(StagedSubmit& entry);
-
   struct PendingGreater {
     bool operator()(const HmcResponse& a, const HmcResponse& b) const {
       return a.completed > b.completed || (a.completed == b.completed &&
@@ -291,9 +224,7 @@ class HmcDevice {
   EventSink* sink_ = nullptr;
   std::unique_ptr<HmcChecker> checker_;
   Fault fault_ = Fault::kNone;
-  bool staged_mode_ = false;
-  std::vector<StagedSubmit> staged_;  ///< global staging order (= seq order)
-  // Busy thresholds kept at commit; last, so the hot layout is unchanged.
+  // Busy thresholds kept at submit; last, so the hot layout is unchanged.
   std::vector<Cycle> vault_busy_until_;  ///< per vault: max bank free_at
   Cycle banks_busy_until_ = 0;           ///< max over vault_busy_until_
 };

@@ -162,19 +162,6 @@ std::string ActivityCensus::to_json() const {
   return out;
 }
 
-double HostProfiler::worker_imbalance() const noexcept {
-  if (worker_busy_.empty()) return 0.0;
-  double sum = 0.0;
-  double peak = 0.0;
-  for (const double busy : worker_busy_) {
-    sum += busy;
-    peak = std::max(peak, busy);
-  }
-  if (sum <= 0.0) return 0.0;
-  const double mean = sum / static_cast<double>(worker_busy_.size());
-  return peak / mean;
-}
-
 std::string HostProfiler::to_json() const {
   std::string out = "{\"phase_seconds\": {";
   for (std::size_t i = 0; i < kHostPhaseCount; ++i) {
@@ -182,14 +169,7 @@ std::string HostProfiler::to_json() const {
     out += json_quote(to_string(static_cast<HostPhase>(i))) + ": " +
            json_number(phase_seconds_[i]);
   }
-  out += "}, \"workers\": {\"count\": " +
-         json_number(static_cast<std::uint64_t>(worker_busy_.size())) +
-         ", \"busy_seconds\": [";
-  for (std::size_t i = 0; i < worker_busy_.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += json_number(worker_busy_[i]);
-  }
-  out += "], \"imbalance\": " + json_number(worker_imbalance()) + "}}";
+  out += "}}";
   return out;
 }
 
@@ -204,12 +184,6 @@ std::string HostProfiler::to_table() const {
     std::snprintf(line, sizeof(line), "%-10s %10.6fs %6.1f%%\n",
                   std::string(to_string(static_cast<HostPhase>(i))).c_str(),
                   phase_seconds_[i], share);
-    out += line;
-  }
-  if (!worker_busy_.empty()) {
-    std::snprintf(line, sizeof(line),
-                  "workers    %10zu   imbalance %.2fx\n", worker_busy_.size(),
-                  worker_imbalance());
     out += line;
   }
   return out;

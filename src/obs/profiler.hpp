@@ -1,14 +1,14 @@
 // Simulator self-profiling (docs/OBSERVABILITY.md §profiler): the
 // idle-cycle census over every tickable component and the host-side
-// wall-clock attribution for engine phases and parallel workers.
+// wall-clock attribution for engine phases.
 //
 // The census is the measurement arm of the ROADMAP's event-driven
 // fast-forward engine: it forces each component to expose the Activity
 // oracle (`did_work_this_cycle` / `next_activity_cycle`) that engine will
 // consume, and turns "most cycles are dead time" into per-component
-// numbers. Census rows are read only at serial points (the census owner
-// observes once per simulated cycle), so serial and parallel engines
-// produce byte-identical census exports.
+// numbers. Census rows are read once per simulated cycle, after the
+// cycle's work, so the cycle and event engines produce byte-identical
+// census exports.
 //
 // Host-time measurements (HostProfiler) are wall-clock and therefore
 // nondeterministic by nature; they are quarantined in the report's
@@ -151,27 +151,24 @@ class ActivityCensus {
 
 /// Engine phases the host profiler attributes wall-clock to.
 enum class HostPhase : std::uint8_t {
-  kTick = 0,    ///< component tick / shard execution
-  kCommit,      ///< staged-state commit + telemetry mailbox flush
+  kTick = 0,    ///< component tick
   kTelemetry,   ///< census observe + lifecycle/trace bookkeeping
   kSampler,     ///< cycle-sampler probe evaluation
 };
 
-inline constexpr std::size_t kHostPhaseCount = 4;
+inline constexpr std::size_t kHostPhaseCount = 3;
 
 [[nodiscard]] constexpr std::string_view to_string(HostPhase phase) noexcept {
   switch (phase) {
     case HostPhase::kTick: return "tick";
-    case HostPhase::kCommit: return "commit";
     case HostPhase::kTelemetry: return "telemetry";
     case HostPhase::kSampler: return "sampler";
   }
   return "?";
 }
 
-/// Wall-clock attribution for a run: per-phase totals plus per-worker
-/// busy time under the parallel engine. All values are host seconds and
-/// live only in the non-diffed `host` report section.
+/// Wall-clock attribution for a run: per-phase totals. All values are
+/// host seconds and live only in the non-diffed `host` report section.
 class HostProfiler {
  public:
   /// RAII phase timer. Null profiler => no clock read at all, so an
@@ -203,29 +200,13 @@ class HostProfiler {
     return phase_seconds_[static_cast<std::size_t>(phase)];
   }
 
-  /// Size the per-worker busy array. Call before the parallel phase
-  /// starts; each index is then written by exactly one worker thread.
-  void set_worker_count(std::size_t count) { worker_busy_.assign(count, 0.0); }
-  void add_worker_busy(std::size_t index, double seconds) noexcept {
-    if (index < worker_busy_.size()) worker_busy_[index] += seconds;
-  }
-  [[nodiscard]] const std::vector<double>& worker_busy() const noexcept {
-    return worker_busy_;
-  }
-  /// max(busy) / mean(busy): 1.0 = perfectly balanced shards. 0 workers
-  /// or an all-idle pool reports 0.0.
-  [[nodiscard]] double worker_imbalance() const noexcept;
-
-  /// JSON object for the report's `host` section:
-  /// {"phase_seconds":{...},"workers":{"count":N,"busy_seconds":[...],
-  /// "imbalance":X}}.
+  /// JSON object for the report's `host` section: {"phase_seconds":{...}}.
   [[nodiscard]] std::string to_json() const;
   /// Aligned text table of the same numbers.
   [[nodiscard]] std::string to_table() const;
 
  private:
   double phase_seconds_[kHostPhaseCount] = {};
-  std::vector<double> worker_busy_;
 };
 
 }  // namespace mac3d

@@ -3,21 +3,19 @@
 //
 // Components register counters / gauges / histograms under dotted
 // namespaces ("node3.router.remote_in", "fabric.link01.flits") at attach
-// time; the hot path then updates through stable references with relaxed
-// atomics — one null-pointer test plus one relaxed fetch_add per site, and
-// nothing at all under -DMAC3D_OBS=OFF (the MAC3D_OBS_COUNT* macros).
+// time; the hot path then updates through stable references with plain
+// integer adds — one null-pointer test plus one add per site, and nothing
+// at all under -DMAC3D_OBS=OFF (the MAC3D_OBS_COUNT* macros).
 //
-// Determinism contract (docs/PARALLELISM.md): metric *updates* are
-// commutative (counter adds, histogram bucket adds, min/max folds), so the
-// exported values are identical whatever order shards ran in. Gauges are
-// last-write-wins and must therefore only be set at serial points (the
-// per-cycle barrier or end-of-run); System honors this. Export renders in
-// sorted-name order, so a serial run and a run_parallel run of the same
-// model produce byte-identical JSON — test_parallel_equivalence locks
+// Threading contract: a registry belongs to one run at a time. Nothing
+// inside a run is concurrent, and run-level parallelism (run_suite's and
+// `mac3d run`'s --jobs) falls back to one run at a time whenever a shared
+// hook is attached (docs/PARALLELISM.md), so the counters need no
+// atomics. Export renders in sorted-name order, so the cycle and event
+// engines produce byte-identical JSON — test_parallel_equivalence locks
 // this in.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -27,38 +25,26 @@
 
 namespace mac3d {
 
-/// Monotonic event counter. add() is safe from any shard thread (relaxed
-/// atomic; counts are commutative). Reads are intended for end-of-run
-/// export, not cross-thread synchronization.
+/// Monotonic event counter.
 class MetricCounter {
  public:
-  void add(std::uint64_t delta = 1) noexcept {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t get() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  /// Merge-from-shard: fold another counter's total in.
+  void add(std::uint64_t delta = 1) noexcept { value_ += delta; }
+  [[nodiscard]] std::uint64_t get() const noexcept { return value_; }
+  /// Fold another counter's total in.
   void merge(const MetricCounter& other) noexcept { add(other.get()); }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
-/// Point-in-time gauge (queue occupancy, busy fraction). Last write wins,
-/// so writers must serialize: set it only at serial points (a barrier or
-/// end-of-run), never from inside a concurrent shard phase.
+/// Point-in-time gauge (queue occupancy, busy fraction). Last write wins.
 class MetricGauge {
  public:
-  void set(double value) noexcept {
-    value_.store(value, std::memory_order_relaxed);
-  }
-  [[nodiscard]] double get() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void set(double value) noexcept { value_ = value; }
+  [[nodiscard]] double get() const noexcept { return value_; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 /// Hierarchical metric registry. Registration (counter()/gauge()/
@@ -77,19 +63,14 @@ class MetricsRegistry {
   /// CheckContext semantics).
   MetricCounter& counter(const std::string& name);
   MetricGauge& gauge(const std::string& name);
-  /// Histograms are NOT thread-safe: confine each one to a single shard
-  /// (per-node namespaces do this naturally) or update at serial points.
   Histogram& histogram(const std::string& name, std::size_t buckets = 32);
 
   [[nodiscard]] std::size_t size() const noexcept {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
 
-  /// Fold a shard registry in (counters add, histograms merge, gauges
-  /// last-write-wins in call order). Call in canonical shard order from a
-  /// serial point to preserve the deterministic-parallel commit order for
-  /// the order-sensitive gauge values; counter/histogram totals are
-  /// order-free either way.
+  /// Fold another registry in (counters add, histograms merge, gauges
+  /// last-write-wins in call order).
   void merge(const MetricsRegistry& shard);
 
   /// Flatten every metric into `out` under `prefix` ("metrics" by

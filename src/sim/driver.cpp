@@ -4,8 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include <memory>
-
 #include "cache/mshr.hpp"
 #include "check/check.hpp"
 #include "mac/coalescer.hpp"
@@ -15,7 +13,6 @@
 #include "obs/profiler.hpp"
 #include "obs/sampler.hpp"
 #include "obs/snapshot.hpp"
-#include "sim/parallel.hpp"
 #include "sim/raw_path.hpp"
 #include "sim/tag_allocator.hpp"
 
@@ -64,13 +61,11 @@ struct LoopResult {
 /// so each thread draws from a finite MSHR-style TagAllocator pool and
 /// stalls only on pool exhaustion (the invariant fuzz suite caught the
 /// ambiguity on bank-conflict-heavy traces back when tags were a bare
-/// wrapping cursor). `barrier` runs once per cycle right after the path
-/// ticks — the parallel engine commits its staged device work there; the
-/// serial engine passes a no-op.
-template <typename Path, typename Barrier>
-LoopResult run_streaming(Path& path, const MemoryTrace& trace,
-                         const SimConfig& config, std::uint32_t threads,
-                         const DriveOptions& options, Barrier&& barrier) {
+/// wrapping cursor).
+template <typename Path>
+void run_streaming(Path& path, const MemoryTrace& trace,
+                   const SimConfig& config, std::uint32_t threads,
+                   const DriveOptions& options, LoopResult& result) {
   struct ThreadCursor {
     std::size_t next = 0;
     Cycle arrive_at = 0;  ///< when the current record reaches the queue
@@ -91,9 +86,8 @@ LoopResult run_streaming(Path& path, const MemoryTrace& trace,
   }
 
   Cycle now = 0;
-  LoopResult result;
   std::uint32_t turn = 0;
-  const bool event_engine = engine_is_event(options.engine);
+  const bool event_engine = options.engine == Engine::kEvent;
 #if MAC3D_OBS_ENABLED
   ActivityCensus* const census = options.census;
   HostProfiler* const profiler = options.profiler;
@@ -104,8 +98,10 @@ LoopResult run_streaming(Path& path, const MemoryTrace& trace,
   SnapshotStreamer* const snapshot = nullptr;
 #endif
   if (snapshot != nullptr) {
-    // The loop owns the completion count, so the reserved completions
-    // counter registers here; the run_* wrappers register the rest.
+    // The loop counts completions, so the reserved completions counter
+    // registers here; the run_* wrappers register the rest. `result` is
+    // caller-owned: the counter is read again at end_run, after the loop
+    // has returned.
     snapshot->add_counter(SnapshotStreamer::kCompletionsCounter,
                           [&result] { return result.completions; });
   }
@@ -170,10 +166,6 @@ LoopResult run_streaming(Path& path, const MemoryTrace& trace,
       path.tick(now);
     }
     {
-      HostProfiler::Scope scope(profiler, HostPhase::kCommit);
-      barrier();
-    }
-    {
       HostProfiler::Scope scope(profiler, HostPhase::kTelemetry);
       // Livelock fault injection (watchdog testing): past the trigger
       // cycle completions are left undelivered in the path.
@@ -188,7 +180,7 @@ LoopResult run_streaming(Path& path, const MemoryTrace& trace,
           tags[done.target.tid].release(done.target.tag);
         }
       }
-      // Serial point: the cycle's work (tick, barrier, drain) is done.
+      // Serial point: the cycle's work (tick, drain) is done.
       if (census != nullptr) census->observe(now);
     }
 #if MAC3D_OBS_ENABLED
@@ -205,8 +197,8 @@ LoopResult run_streaming(Path& path, const MemoryTrace& trace,
     // exit a livelocked pipeline has.
     if (snapshot != nullptr && snapshot->watchdog_fired()) break;
 
-    // Advance time. The strict cycle engines always step one cycle (the
-    // reference semantics); the event engines jump to the minimum
+    // Advance time. The strict cycle engine always steps one cycle (the
+    // reference semantics); the event engine jumps to the minimum
     // next-activity cycle — the feeder's earliest arrival and the path's
     // next_event oracle — crediting the skipped span to the census and
     // sampler BEFORE the landing tick (which can raise device busy
@@ -258,7 +250,6 @@ LoopResult run_streaming(Path& path, const MemoryTrace& trace,
     }
     now = next;
   }
-  return result;
 }
 
 /// Closed-loop feed (paper Sec. 3): each hardware thread may have a small
@@ -266,10 +257,10 @@ LoopResult run_streaming(Path& path, const MemoryTrace& trace,
 /// finite store buffer; it stalls otherwise, and pays its recorded compute
 /// gap between references. Up to `intake_ports` requests (one per core
 /// port) enter the path per cycle.
-template <typename Path, typename Barrier>
-LoopResult run_closed_loop(Path& path, const MemoryTrace& trace,
-                           const SimConfig& config, std::uint32_t threads,
-                           const DriveOptions& options, Barrier&& barrier) {
+template <typename Path>
+void run_closed_loop(Path& path, const MemoryTrace& trace,
+                     const SimConfig& config, std::uint32_t threads,
+                     const DriveOptions& options, LoopResult& result) {
   struct ThreadCursor {
     std::size_t next = 0;
     std::uint32_t loads = 0;   ///< outstanding loads + atomics
@@ -293,10 +284,9 @@ LoopResult run_closed_loop(Path& path, const MemoryTrace& trace,
   }
 
   Cycle now = 0;
-  LoopResult result;
   std::uint32_t turn = 0;
   std::uint64_t outstanding_total = 0;
-  const bool event_engine = engine_is_event(options.engine);
+  const bool event_engine = options.engine == Engine::kEvent;
 #if MAC3D_OBS_ENABLED
   ActivityCensus* const census = options.census;
   HostProfiler* const profiler = options.profiler;
@@ -307,8 +297,10 @@ LoopResult run_closed_loop(Path& path, const MemoryTrace& trace,
   SnapshotStreamer* const snapshot = nullptr;
 #endif
   if (snapshot != nullptr) {
-    // The loop owns the completion count, so the reserved completions
-    // counter registers here; the run_* wrappers register the rest.
+    // The loop counts completions, so the reserved completions counter
+    // registers here; the run_* wrappers register the rest. `result` is
+    // caller-owned: the counter is read again at end_run, after the loop
+    // has returned.
     snapshot->add_counter(SnapshotStreamer::kCompletionsCounter,
                           [&result] { return result.completions; });
   }
@@ -384,10 +376,6 @@ LoopResult run_closed_loop(Path& path, const MemoryTrace& trace,
       path.tick(now);
     }
     {
-      HostProfiler::Scope scope(profiler, HostPhase::kCommit);
-      barrier();
-    }
-    {
       HostProfiler::Scope scope(profiler, HostPhase::kTelemetry);
       // Livelock fault injection (watchdog testing): past the trigger
       // cycle completions are left undelivered in the path.
@@ -414,7 +402,7 @@ LoopResult run_closed_loop(Path& path, const MemoryTrace& trace,
         }
         cursor.ready_at = std::max(cursor.ready_at, ready);
       }
-      // Serial point: the cycle's work (tick, barrier, drain) is done.
+      // Serial point: the cycle's work (tick, drain) is done.
       if (census != nullptr) census->observe(now);
     }
 #if MAC3D_OBS_ENABLED
@@ -431,9 +419,10 @@ LoopResult run_closed_loop(Path& path, const MemoryTrace& trace,
     // exit a livelocked pipeline has.
     if (snapshot != nullptr && snapshot->watchdog_fired()) break;
 
-    // Advance time. Strict cycle engines step one cycle; event engines
-    // jump to the earliest of (path event, thread ready time), crediting
-    // the skipped span before the landing tick (see run_streaming).
+    // Advance time. The strict cycle engine steps one cycle; the event
+    // engine jumps to the earliest of (path event, thread ready time),
+    // crediting the skipped span before the landing tick (see
+    // run_streaming).
     if (!event_engine) {
       ++now;
       continue;
@@ -493,7 +482,6 @@ LoopResult run_closed_loop(Path& path, const MemoryTrace& trace,
     }
     now = next;
   }
-  return result;
 }
 
 /// SIMT lane-group feed (FeedMode::kLaneGroup): threads form consecutive
@@ -504,10 +492,10 @@ LoopResult run_closed_loop(Path& path, const MemoryTrace& trace,
 /// with shorter streams simply drop out of later steps. Each lane has at
 /// most one request in flight, so a per-lane tag cursor never reissues a
 /// live (tid, tag).
-template <typename Path, typename Barrier>
-LoopResult run_lane_group(Path& path, const MemoryTrace& trace,
-                          const SimConfig& config, std::uint32_t threads,
-                          const DriveOptions& options, Barrier&& barrier) {
+template <typename Path>
+void run_lane_group(Path& path, const MemoryTrace& trace,
+                    const SimConfig& config, std::uint32_t threads,
+                    const DriveOptions& options, LoopResult& result) {
   struct LaneState {
     bool issued = false;       ///< current step's request accepted
     bool outstanding = false;  ///< awaiting its completion
@@ -547,9 +535,8 @@ LoopResult run_lane_group(Path& path, const MemoryTrace& trace,
   }
 
   Cycle now = 0;
-  LoopResult result;
   std::uint64_t outstanding_total = 0;
-  const bool event_engine = engine_is_event(options.engine);
+  const bool event_engine = options.engine == Engine::kEvent;
 #if MAC3D_OBS_ENABLED
   ActivityCensus* const census = options.census;
   HostProfiler* const profiler = options.profiler;
@@ -560,8 +547,10 @@ LoopResult run_lane_group(Path& path, const MemoryTrace& trace,
   SnapshotStreamer* const snapshot = nullptr;
 #endif
   if (snapshot != nullptr) {
-    // The loop owns the completion count, so the reserved completions
-    // counter registers here; the run_* wrappers register the rest.
+    // The loop counts completions, so the reserved completions counter
+    // registers here; the run_* wrappers register the rest. `result` is
+    // caller-owned: the counter is read again at end_run, after the loop
+    // has returned.
     snapshot->add_counter(SnapshotStreamer::kCompletionsCounter,
                           [&result] { return result.completions; });
   }
@@ -627,10 +616,6 @@ LoopResult run_lane_group(Path& path, const MemoryTrace& trace,
       path.tick(now);
     }
     {
-      HostProfiler::Scope scope(profiler, HostPhase::kCommit);
-      barrier();
-    }
-    {
       HostProfiler::Scope scope(profiler, HostPhase::kTelemetry);
       // Livelock fault injection (watchdog testing): past the trigger
       // cycle completions are left undelivered in the path.
@@ -676,7 +661,7 @@ LoopResult run_lane_group(Path& path, const MemoryTrace& trace,
           }
         }
       }
-      // Serial point: the cycle's work (tick, barrier, drain) is done.
+      // Serial point: the cycle's work (tick, drain) is done.
       if (census != nullptr) census->observe(now);
     }
 #if MAC3D_OBS_ENABLED
@@ -693,7 +678,7 @@ LoopResult run_lane_group(Path& path, const MemoryTrace& trace,
     // exit a livelocked pipeline has.
     if (snapshot != nullptr && snapshot->watchdog_fired()) break;
 
-    // Advance time (see run_streaming): event engines jump to the
+    // Advance time (see run_streaming): the event engine jumps to the
     // earliest of (path event, earliest group gate).
     if (!event_engine) {
       ++now;
@@ -747,7 +732,6 @@ LoopResult run_lane_group(Path& path, const MemoryTrace& trace,
     }
     now = next;
   }
-  return result;
 }
 
 template <typename Path>
@@ -775,43 +759,21 @@ DriverResult finish(Path& path, const HmcDevice& device,
   return result;
 }
 
-/// Per-run engine state: under the parallel engines the device runs
-/// staged and a ParallelStepper commits its per-cycle work at the loop
-/// barrier; under the serial engines the barrier is a no-op and no pool
-/// is spawned.
-class EngineWindow {
- public:
-  EngineWindow(const DriveOptions& options, HmcDevice& device)
-      : device_(device) {
-    if (engine_is_parallel(options.engine)) {
-      stepper_ = std::make_unique<ParallelStepper>(options.engine_threads);
-      device.begin_staged();
-    }
-  }
-
-  void barrier() {
-    if (stepper_ != nullptr) device_.step_staged(*stepper_);
-  }
-
- private:
-  HmcDevice& device_;
-  std::unique_ptr<ParallelStepper> stepper_;
-};
-
 template <typename Path>
-LoopResult dispatch(Path& path, const MemoryTrace& trace,
-                    const SimConfig& config, std::uint32_t threads,
-                    const DriveOptions& options, EngineWindow& engine) {
-  const auto barrier = [&engine] { engine.barrier(); };
+void dispatch(Path& path, const MemoryTrace& trace, const SimConfig& config,
+              std::uint32_t threads, const DriveOptions& options,
+              LoopResult& result) {
   switch (options.mode) {
     case FeedMode::kClosedLoop:
-      return run_closed_loop(path, trace, config, threads, options, barrier);
+      run_closed_loop(path, trace, config, threads, options, result);
+      return;
     case FeedMode::kLaneGroup:
-      return run_lane_group(path, trace, config, threads, options, barrier);
+      run_lane_group(path, trace, config, threads, options, result);
+      return;
     case FeedMode::kStreaming:
       break;
   }
-  return run_streaming(path, trace, config, threads, options, barrier);
+  run_streaming(path, trace, config, threads, options, result);
 }
 
 /// Scopes one run's slice of a (possibly shared) CheckContext: snapshots
@@ -1038,9 +1000,8 @@ DriverResult run_mac(const MemoryTrace& trace, const SimConfig& config,
     snapshot->attach_census(census);
   }
 #endif
-  EngineWindow engine(options, device);
-  const LoopResult loop = dispatch(mac, trace, config, threads, options,
-                                   engine);
+  LoopResult loop;
+  dispatch(mac, trace, config, threads, options, loop);
   DriverResult result = finish(mac, device, loop, "mac");
   snwindow.close(loop.makespan);
   swindow.close(loop.makespan);
@@ -1104,9 +1065,8 @@ DriverResult run_raw(const MemoryTrace& trace, const SimConfig& config,
     snapshot->attach_census(census);
   }
 #endif
-  EngineWindow engine(options, device);
-  const LoopResult loop = dispatch(raw, trace, config, threads, options,
-                                   engine);
+  LoopResult loop;
+  dispatch(raw, trace, config, threads, options, loop);
   DriverResult result = finish(raw, device, loop, "raw");
   snwindow.close(loop.makespan);
   swindow.close(loop.makespan);
@@ -1171,9 +1131,8 @@ DriverResult run_mshr(const MemoryTrace& trace, const SimConfig& config,
     snapshot->attach_census(census);
   }
 #endif
-  EngineWindow engine(options, device);
-  const LoopResult loop = dispatch(mshr, trace, config, threads, options,
-                                   engine);
+  LoopResult loop;
+  dispatch(mshr, trace, config, threads, options, loop);
   DriverResult result = finish(mshr, device, loop, "mshr");
   snwindow.close(loop.makespan);
   swindow.close(loop.makespan);
@@ -1237,9 +1196,8 @@ DriverResult run_warp(const MemoryTrace& trace, const SimConfig& config,
     snapshot->attach_census(census);
   }
 #endif
-  EngineWindow engine(options, device);
-  const LoopResult loop = dispatch(warp, trace, config, threads, options,
-                                   engine);
+  LoopResult loop;
+  dispatch(warp, trace, config, threads, options, loop);
   DriverResult result = finish(warp, device, loop, "warp");
   snwindow.close(loop.makespan);
   swindow.close(loop.makespan);

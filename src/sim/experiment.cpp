@@ -61,10 +61,15 @@ std::vector<WorkloadRun> run_suite(const SuiteOptions& options) {
   };
 
   // Shared telemetry/check hooks capture per-run state (probe windows,
-  // stamp streams), so they force the one-run-at-a-time schedule.
+  // stamp streams, census rows) and count in plain integers, so any of
+  // them forces the one-run-at-a-time schedule — the single-thread
+  // contract CheckContext and MetricsRegistry rely on.
   const bool hooks_attached = options.drive.checks != nullptr ||
                               options.drive.sink != nullptr ||
-                              options.drive.sampler != nullptr;
+                              options.drive.sampler != nullptr ||
+                              options.drive.census != nullptr ||
+                              options.drive.profiler != nullptr ||
+                              options.drive.snapshot != nullptr;
   if (options.jobs == 1 || hooks_attached || selected.size() <= 1) {
     for (std::size_t i = 0; i < selected.size(); ++i) run_one(i);
   } else {

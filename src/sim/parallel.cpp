@@ -3,8 +3,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "obs/profiler.hpp"
-
 namespace mac3d {
 
 ParallelStepper::ParallelStepper(std::uint32_t threads) {
@@ -14,7 +12,7 @@ ParallelStepper::ParallelStepper(std::uint32_t threads) {
   }
   workers_.reserve(threads - 1);
   for (std::uint32_t i = 1; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -31,11 +29,7 @@ void ParallelStepper::for_shards(std::size_t count,
                                  const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
   if (count == 1 || workers_.empty()) {
-    const double start = profiler_ != nullptr ? host_now_seconds() : 0.0;
     for (std::size_t i = 0; i < count; ++i) fn(i);
-    if (profiler_ != nullptr) {
-      profiler_->add_worker_busy(0, host_now_seconds() - start);
-    }
     return;
   }
 
@@ -52,7 +46,7 @@ void ParallelStepper::for_shards(std::size_t count,
 
   // The calling thread participates: claim and run shards until the pool
   // drains the index space, then barrier on the last shard retiring.
-  work(0);
+  work();
 
   std::unique_lock<std::mutex> lock(mutex_);
   done_cv_.wait(lock, [this] { return pending_ == 0; });
@@ -77,26 +71,17 @@ std::uint32_t ParallelStepper::env_jobs(std::uint32_t fallback) {
   return static_cast<std::uint32_t>(parsed);
 }
 
-void ParallelStepper::work(std::size_t worker_index) {
+void ParallelStepper::work() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (job_ != nullptr && next_ < job_count_) {
     const std::size_t shard = next_++;
     const std::function<void(std::size_t)>* fn = job_;
-    // The profiler pointer is stable for the whole barrier interval
-    // (attach_profiler only runs between for_shards calls), so reading it
-    // under the lock here is safe; worker_index's busy slot has this
-    // thread as its only writer.
-    HostProfiler* profiler = profiler_;
     lock.unlock();
-    const double start = profiler != nullptr ? host_now_seconds() : 0.0;
     std::exception_ptr caught;
     try {
       (*fn)(shard);
     } catch (...) {
       caught = std::current_exception();
-    }
-    if (profiler != nullptr) {
-      profiler->add_worker_busy(worker_index, host_now_seconds() - start);
     }
     lock.lock();
     if (caught != nullptr && error_ == nullptr) error_ = caught;
@@ -104,7 +89,7 @@ void ParallelStepper::work(std::size_t worker_index) {
   }
 }
 
-void ParallelStepper::worker_loop(std::size_t worker_index) {
+void ParallelStepper::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
     {
@@ -116,7 +101,7 @@ void ParallelStepper::worker_loop(std::size_t worker_index) {
       if (stop_) return;
       seen = generation_;
     }
-    work(worker_index);
+    work();
   }
 }
 

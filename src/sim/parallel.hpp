@@ -1,21 +1,9 @@
-// Deterministic parallel execution engine (docs/PARALLELISM.md).
-//
-// A ParallelStepper owns a fixed pool of worker threads and executes
-// *shards* of one cycle's work concurrently between barriers. The engine
-// guarantees bit-identical results to serial execution for any thread
-// count, provided callers follow the two rules the rest of the simulator
-// is built around:
-//
-//   1. a shard's phase function touches only shard-local state (vaults and
-//      the link that serves them, one NUMA node, one independent run), and
-//   2. every cross-shard effect is staged into a per-shard mailbox during
-//      the phase and applied *after* the barrier, serially, in a fixed
-//      canonical order (shard index, then intra-shard staging order).
-//
-// Which worker executes which shard is unspecified and may vary run to
-// run — rule 1 makes that invisible, rule 2 makes the merge order (the
-// only place concurrency could leak into results) a deterministic
-// function of the shard indices alone.
+// Run-level parallelism (docs/PARALLELISM.md): a ParallelStepper owns a
+// fixed pool of worker threads and executes independent tasks — one driver
+// run, one workload trace — concurrently, then barriers until all finish.
+// Tasks share no mutable state and commit into their own result slots, so
+// which worker runs which task is invisible in the results: output is
+// bit-identical for any thread count.
 #pragma once
 
 #include <condition_variable>
@@ -28,8 +16,6 @@
 #include <vector>
 
 namespace mac3d {
-
-class HostProfiler;
 
 class ParallelStepper {
  public:
@@ -51,8 +37,7 @@ class ParallelStepper {
   /// complete. Shards must touch pairwise-disjoint state. The first
   /// exception thrown by any shard is rethrown here after the barrier
   /// (which exception is first is unspecified when several shards throw
-  /// concurrently — breaches under FailMode::kThrow are already a
-  /// diagnostic path, not a measured one).
+  /// concurrently).
   void for_shards(std::size_t count,
                   const std::function<void(std::size_t)>& fn);
 
@@ -64,20 +49,9 @@ class ParallelStepper {
   /// Worker count the environment asks for (MAC3D_JOBS, else `fallback`).
   [[nodiscard]] static std::uint32_t env_jobs(std::uint32_t fallback = 1);
 
-  /// Attach host wall-clock attribution (docs/OBSERVABILITY.md §profiler):
-  /// each shard execution adds to its worker's busy time (calling thread
-  /// = worker 0, pool thread i = worker i + 1; each slot has exactly one
-  /// writer). Size the profiler with set_worker_count(thread_count())
-  /// first. Per-shard clock reads only happen while attached, so an
-  /// unprofiled stepper never touches the host clock. Pass nullptr to
-  /// detach; attach only between for_shards calls.
-  void attach_profiler(HostProfiler* profiler) noexcept {
-    profiler_ = profiler;
-  }
-
  private:
-  void work(std::size_t worker_index);
-  void worker_loop(std::size_t worker_index);
+  void work();
+  void worker_loop();
 
   std::mutex mutex_;
   std::condition_variable work_cv_;
@@ -90,7 +64,6 @@ class ParallelStepper {
   std::uint64_t generation_ = 0;                           // guarded
   std::exception_ptr error_;                               // guarded
   bool stop_ = false;                                      // guarded
-  HostProfiler* profiler_ = nullptr;  ///< set between barriers only
 };
 
 }  // namespace mac3d

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstddef>
-#include <functional>
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
@@ -358,15 +357,7 @@ TEST_F(HmcDeviceTest, LinkFlitTotalsMatchTraffic) {
 // ------------------------------------------------------- busy thresholds
 // vault_busy_until / banks_busy_until are running maxima kept at commit;
 // they must equal a brute-force scan of Bank::free_at() after every
-// submit, in every bank mode, across reset() and under staged stepping.
-
-/// Runs shard work inline, in order (the serial stepper contract).
-struct InlineStepper {
-  void for_shards(std::size_t count,
-                  const std::function<void(std::size_t)>& fn) const {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-  }
-};
+// submit, in every bank mode and across reset().
 
 void expect_thresholds_match_scan(const HmcDevice& device,
                                   const SimConfig& config) {
@@ -429,25 +420,6 @@ TEST_P(BusyThresholdProperty, KeptThresholdsEqualBankScan) {
       device.reset();  // round 2 replays from a zeroed device
       EXPECT_EQ(device.banks_busy_until(), 0u);
     }
-  }
-}
-
-TEST_P(BusyThresholdProperty, StagedCommitKeepsThresholds) {
-  SimConfig config;
-  HmcDevice device(config);
-  device.begin_staged();
-  InlineStepper stepper;
-  Xoshiro256 rng(GetParam());
-  TransactionId id = 1;
-  Cycle now = 0;
-  for (int i = 0; i < 100; ++i) {
-    now += 1 + rng.below(20);
-    const int burst = 1 + static_cast<int>(rng.below(4));
-    for (int k = 0; k < burst; ++k) {
-      submit_random(device, config, rng, id++, now);
-    }
-    device.step_staged(stepper);
-    expect_thresholds_match_scan(device, config);
   }
 }
 

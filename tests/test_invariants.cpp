@@ -281,28 +281,6 @@ TEST(FabricCredit, InjectedDropBreachesCreditConservation) {
       << context.report();
 }
 
-TEST(FabricCredit, InjectedDropIsCaughtInStagedModeToo) {
-  // The staged (parallel-engine) commit path consumes the same one-shot
-  // fault at the point a message enters a lane, so the breach fires there
-  // identically.
-  SimConfig config;
-  Interconnect fabric(config, 2);
-  CheckContext context;
-  fabric.attach_checks(&context);
-  fabric.begin_staged();
-  fabric.send_request(remote_load(0x000, 0, 1), 1, 0, 0);
-  fabric.send_completion(CompletedAccess{}, 0, 0, 1);
-  fabric.inject_drop_next_message();
-  fabric.commit_staged();  // the fault eats the first committed message
-  fabric.end_staged();
-  (void)fabric.deliver_requests(1, fabric.hop_cycles());
-  (void)fabric.deliver_completions(0, fabric.hop_cycles());
-  context.finalize();
-  EXPECT_EQ(fabric.deliveries(), 1u);
-  EXPECT_EQ(context.violations(inv::kFabricCredit.id), 1u)
-      << context.report();
-}
-
 TEST(FabricCredit, UndeliveredMessagesFailTheDrainAudit) {
   SimConfig config;
   Interconnect fabric(config, 2);

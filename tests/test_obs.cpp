@@ -185,7 +185,9 @@ class RecordingSink final : public EventSink {
   std::ostringstream log_;
 };
 
-TEST(Lifecycle, ParallelEngineAuditsCleanAtFourThreads) {
+// The other audit tests run the default event engine; this one pins the
+// strict cycle engine to the same clean audit.
+TEST(Lifecycle, StrictEngineAuditsClean) {
   const MemoryTrace trace = random_trace(21, 4, 300);
   SimConfig config;
   for (const std::string path : {"mac", "raw", "mshr"}) {
@@ -193,12 +195,11 @@ TEST(Lifecycle, ParallelEngineAuditsCleanAtFourThreads) {
       LifecycleTracer tracer;
       tracer.keep_records(true);
       const std::string window =
-          path + (mode == FeedMode::kStreaming ? "-str-par" : "-cl-par");
+          path + (mode == FeedMode::kStreaming ? "-str-serial" : "-cl-serial");
       tracer.begin_path(window);
       DriveOptions options;
       options.mode = mode;
-      options.engine = Engine::kParallel;
-      options.engine_threads = 4;
+      options.engine = Engine::kSerial;
       options.sink = &tracer;
       const DriverResult result = run_path(path, trace, config, options);
       tracer.finish();
@@ -216,28 +217,28 @@ TEST(Lifecycle, ParallelEngineAuditsCleanAtFourThreads) {
   }
 }
 
-TEST(Lifecycle, ParallelEngineStampStreamMatchesSerialByteForByte) {
+TEST(Lifecycle, EventEngineStampStreamMatchesSerialByteForByte) {
   const MemoryTrace trace = random_trace(33, 4, 250);
   SimConfig config;
   for (const std::string path : {"mac", "raw", "mshr"}) {
     RecordingSink serial_log;
     DriveOptions serial;
+    serial.engine = Engine::kSerial;
     serial.sink = &serial_log;
     (void)run_path(path, trace, config, serial);
 
-    RecordingSink parallel_log;
-    DriveOptions parallel;
-    parallel.engine = Engine::kParallel;
-    parallel.engine_threads = 4;
-    parallel.sink = &parallel_log;
-    (void)run_path(path, trace, config, parallel);
+    RecordingSink event_log;
+    DriveOptions event;
+    event.engine = Engine::kEvent;
+    event.sink = &event_log;
+    (void)run_path(path, trace, config, event);
 
-    EXPECT_EQ(serial_log.str(), parallel_log.str()) << path;
+    EXPECT_EQ(serial_log.str(), event_log.str()) << path;
     EXPECT_FALSE(serial_log.str().empty()) << path;
   }
 }
 
-TEST(Lifecycle, SystemRunParallelStampStreamMatchesSerial) {
+TEST(Lifecycle, SystemRunEventStampStreamMatchesSerial) {
   SimConfig config;
   config.nodes = 2;
   config.cores = 2;
@@ -251,15 +252,15 @@ TEST(Lifecycle, SystemRunParallelStampStreamMatchesSerial) {
     EXPECT_TRUE(system.run().completed);
   }
 
-  RecordingSink parallel_log;
+  RecordingSink event_log;
   {
     System system(config);
-    system.attach_sink(&parallel_log);
+    system.attach_sink(&event_log);
     system.attach_trace(trace);
-    EXPECT_TRUE(system.run_parallel(4).completed);
+    EXPECT_TRUE(system.run_event().completed);
   }
 
-  EXPECT_EQ(serial_log.str(), parallel_log.str());
+  EXPECT_EQ(serial_log.str(), event_log.str());
   EXPECT_FALSE(serial_log.str().empty());
   // Multi-node runs route remote traffic over the fabric, so the identical
   // streams must include hop events (request/response send+recv legs).
@@ -343,28 +344,28 @@ TEST(Registry, SystemRunPopulatesPerNodeAndFabricNamespaces) {
   EXPECT_NE(json.find("\"fabric.link10.requests\":"), std::string::npos);
 }
 
-TEST(Sampler, ParallelEngineRowsAndCsvMatchSerial) {
+TEST(Sampler, EventEngineRowsAndCsvMatchSerial) {
   const MemoryTrace trace = random_trace(3, 4, 300);
   SimConfig config;
   CycleSampler serial_sampler(64);
-  CycleSampler parallel_sampler(64);
+  CycleSampler event_sampler(64);
   for (const std::string path : {"mac", "raw", "mshr"}) {
     DriveOptions serial;
+    serial.engine = Engine::kSerial;
     serial.sampler = &serial_sampler;
     const DriverResult expected = run_path(path, trace, config, serial);
 
-    DriveOptions parallel;
-    parallel.engine = Engine::kParallel;
-    parallel.engine_threads = 4;
-    parallel.sampler = &parallel_sampler;
-    const DriverResult actual = run_path(path, trace, config, parallel);
+    DriveOptions event;
+    event.engine = Engine::kEvent;
+    event.sampler = &event_sampler;
+    const DriverResult actual = run_path(path, trace, config, event);
 
     EXPECT_EQ(expected.makespan, actual.makespan) << path;
     const std::size_t rows = (expected.makespan + 63) / 64;  // ceil
     EXPECT_EQ(serial_sampler.rows_for(path), rows) << path;
-    EXPECT_EQ(parallel_sampler.rows_for(path), rows) << path;
+    EXPECT_EQ(event_sampler.rows_for(path), rows) << path;
   }
-  EXPECT_EQ(serial_sampler.to_csv(), parallel_sampler.to_csv());
+  EXPECT_EQ(serial_sampler.to_csv(), event_sampler.to_csv());
 }
 
 TEST(Sampler, EmitsCeilMakespanOverPeriodRowsPerRun) {

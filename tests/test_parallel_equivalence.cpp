@@ -1,12 +1,11 @@
-// Differential equivalence suite for the deterministic engines
-// (docs/PARALLELISM.md): every engine — Engine::kParallel (node-sharded),
-// Engine::kEvent (fast-forward) and Engine::kEventParallel — must be
-// bit-identical to Engine::kSerial: same StatSets (compared as
-// full-precision JSON), same run reports, same invariant-check counters,
-// same idle-census exports — for every path, feed mode and worker count.
-// System::run_parallel / run_event / run_event_parallel must likewise
-// match System::run. A randomized-config fuzz loop widens the net beyond
-// the hand-picked grid.
+// Differential equivalence suite for the two engines (docs/PARALLELISM.md):
+// the event-driven fast-forward engine (Engine::kEvent) must be
+// bit-identical to the strict cycle engine (Engine::kSerial): same StatSets
+// (compared as full-precision JSON), same run reports, same invariant-check
+// counters, same idle-census exports — for every policy and feed mode.
+// System::run_event must likewise match System::run. A randomized-config
+// fuzz loop widens the net beyond the hand-picked grid. Run-level
+// parallelism (SuiteOptions::jobs) must not change any result either.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +20,7 @@
 #include "obs/registry.hpp"
 #include "obs/run_report.hpp"
 #include "sim/driver.hpp"
+#include "sim/experiment.hpp"
 #include "trace/trace.hpp"
 
 namespace mac3d {
@@ -86,21 +86,9 @@ std::string run_fingerprint(const std::string& path, const MemoryTrace& trace,
   return stats.to_json() + "\n" + census.to_json();
 }
 
-const char* engine_name(Engine engine) {
-  switch (engine) {
-    case Engine::kSerial: return "serial";
-    case Engine::kParallel: return "parallel";
-    case Engine::kEvent: return "event";
-    case Engine::kEventParallel: return "eventparallel";
-  }
-  return "unknown";
-}
-
 struct GridCase {
   const char* path;
   FeedMode mode;
-  Engine engine;
-  std::uint32_t engine_threads;
 };
 
 const char* mode_name(FeedMode mode) {
@@ -114,11 +102,10 @@ const char* mode_name(FeedMode mode) {
 
 std::string case_name(const ::testing::TestParamInfo<GridCase>& info) {
   const GridCase& c = info.param;
-  return std::string(c.path) + mode_name(c.mode) + engine_name(c.engine) +
-         "_" + std::to_string(c.engine_threads) + "t";
+  return std::string(c.path) + mode_name(c.mode) + "event";
 }
 
-// ------------- paths x feed modes x engines x worker counts, full grid
+// ------------------------- policies x feed modes, strict vs event engine
 class EngineGrid : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(EngineGrid, EngineMatchesSerialBitForBit) {
@@ -132,11 +119,9 @@ TEST_P(EngineGrid, EngineMatchesSerialBitForBit) {
   const std::string expected =
       run_fingerprint(c.path, trace, config, 8, serial);
 
-  DriveOptions candidate = serial;
-  candidate.engine = c.engine;
-  candidate.engine_threads = c.engine_threads;
-  const std::string actual =
-      run_fingerprint(c.path, trace, config, 8, candidate);
+  DriveOptions event = serial;
+  event.engine = Engine::kEvent;
+  const std::string actual = run_fingerprint(c.path, trace, config, 8, event);
 
   EXPECT_EQ(expected, actual);
 }
@@ -144,36 +129,27 @@ TEST_P(EngineGrid, EngineMatchesSerialBitForBit) {
 std::vector<GridCase> grid_cases() {
   std::vector<GridCase> cases;
   for (const char* path : {"mac", "raw", "mshr", "warp"}) {
-    for (const FeedMode mode : {FeedMode::kStreaming, FeedMode::kClosedLoop}) {
-      // The event engine is single-threaded; the staged engines sweep
-      // worker counts.
-      cases.push_back({path, mode, Engine::kEvent, 1});
-      for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-        cases.push_back({path, mode, Engine::kParallel, threads});
-        cases.push_back({path, mode, Engine::kEventParallel, threads});
-      }
-    }
     // The SIMT lockstep feed (a warp scheduler's issue pattern) must be
     // engine-invariant for every policy, not just the warp coalescer.
-    cases.push_back({path, FeedMode::kLaneGroup, Engine::kEvent, 1});
-    cases.push_back({path, FeedMode::kLaneGroup, Engine::kParallel, 4});
-    cases.push_back({path, FeedMode::kLaneGroup, Engine::kEventParallel, 4});
+    for (const FeedMode mode : {FeedMode::kStreaming, FeedMode::kClosedLoop,
+                                FeedMode::kLaneGroup}) {
+      cases.push_back({path, mode});
+    }
   }
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPathsModesEnginesThreads, EngineGrid,
+INSTANTIATE_TEST_SUITE_P(AllPathsModes, EngineGrid,
                          ::testing::ValuesIn(grid_cases()), case_name);
 
 // ----------------------------------------------------- run-report parity
-TEST(ReportEquivalence, SerialAndParallelReportsRenderIdentically) {
+TEST(ReportEquivalence, SerialAndEventReportsRenderIdentically) {
   SimConfig config;
   const MemoryTrace trace = locality_trace(0.5, 8, 250, 29);
 
   const auto render = [&](Engine engine) {
     DriveOptions options;
     options.engine = engine;
-    options.engine_threads = 4;
     RunReport report;
     report.set_config(config);
     for (const char* path : {"raw", "mac", "mshr", "warp"}) {
@@ -189,39 +165,10 @@ TEST(ReportEquivalence, SerialAndParallelReportsRenderIdentically) {
   // The report deliberately carries no engine marker (apps/mac3d_cli.cpp),
   // so reports of the same run under any engine are the same bytes — the
   // CI equivalence jobs diff them as artifacts.
-  const std::string reference = render(Engine::kSerial);
-  EXPECT_EQ(reference, render(Engine::kParallel));
-  EXPECT_EQ(reference, render(Engine::kEvent));
-  EXPECT_EQ(reference, render(Engine::kEventParallel));
+  EXPECT_EQ(render(Engine::kSerial), render(Engine::kEvent));
 }
 
 // ---------------------------------- closed-loop System engine equivalence
-TEST(SystemEquivalence, RunParallelMatchesRunAcrossThreadCounts) {
-  SimConfig config;
-  config.nodes = 2;
-  config.cores = 2;
-  ASSERT_GE(config.remote_hop_cycles, 1u);
-  const MemoryTrace trace = locality_trace(0.5, 8, 200, 41);
-
-  System reference(config);
-  reference.attach_trace(trace);
-  const SystemRunSummary expected = reference.run();
-  ASSERT_TRUE(expected.completed);
-
-  for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-    System system(config);
-    system.attach_trace(trace);
-    const SystemRunSummary actual = system.run_parallel(threads);
-    EXPECT_TRUE(actual.completed) << threads << " threads";
-    EXPECT_EQ(expected.cycles, actual.cycles) << threads << " threads";
-    EXPECT_EQ(expected.requests, actual.requests) << threads << " threads";
-    EXPECT_EQ(expected.completions, actual.completions)
-        << threads << " threads";
-    EXPECT_EQ(expected.stats.to_json(), actual.stats.to_json())
-        << threads << " threads";
-  }
-}
-
 TEST(SystemEquivalence, RunEventMatchesRunAndSkipsCycles) {
   SimConfig config;
   config.nodes = 2;
@@ -248,62 +195,29 @@ TEST(SystemEquivalence, RunEventMatchesRunAndSkipsCycles) {
   EXPECT_GT(actual.visited_cycles, 0u);
 }
 
-TEST(SystemEquivalence, RunEventParallelMatchesRunAcrossThreadCounts) {
-  SimConfig config;
-  config.nodes = 2;
-  config.cores = 2;
-  const MemoryTrace trace = locality_trace(0.5, 8, 200, 41);
-
-  System reference(config);
-  reference.attach_trace(trace);
-  const SystemRunSummary expected = reference.run();
-  ASSERT_TRUE(expected.completed);
-
-  for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-    System system(config);
-    system.attach_trace(trace);
-    const SystemRunSummary actual = system.run_event_parallel(threads);
-    EXPECT_TRUE(actual.completed) << threads << " threads";
-    EXPECT_EQ(expected.cycles, actual.cycles) << threads << " threads";
-    EXPECT_EQ(expected.requests, actual.requests) << threads << " threads";
-    EXPECT_EQ(expected.completions, actual.completions)
-        << threads << " threads";
-    EXPECT_EQ(expected.stats.to_json(), actual.stats.to_json())
-        << threads << " threads";
-    EXPECT_LT(actual.visited_cycles, actual.cycles) << threads << " threads";
-  }
-}
-
-TEST(SystemEquivalence, CensusAndMetricsMatchAcrossAllFourSystemEngines) {
+TEST(SystemEquivalence, CensusAndMetricsMatchAcrossBothSystemEngines) {
   SimConfig config;
   config.nodes = 2;
   config.cores = 2;
   const MemoryTrace trace = locality_trace(0.5, 8, 150, 59);
 
-  // 0 = run, 1 = run_parallel, 2 = run_event, 3 = run_event_parallel.
-  const auto fingerprint = [&](int engine) {
+  const auto fingerprint = [&](bool event) {
     System system(config);
     MetricsRegistry registry;
     ActivityCensus census;
     system.attach_metrics(&registry);
     system.attach_census(&census);
     system.attach_trace(trace);
-    SystemRunSummary summary;
-    switch (engine) {
-      case 0: summary = system.run(); break;
-      case 1: summary = system.run_parallel(4); break;
-      case 2: summary = system.run_event(); break;
-      default: summary = system.run_event_parallel(4); break;
-    }
+    const SystemRunSummary summary = event ? system.run_event() : system.run();
     EXPECT_TRUE(summary.completed);
     census.seal();
     return census.to_json() + "\n" + registry.to_json();
   };
 
-  const std::string reference = fingerprint(0);
-  EXPECT_EQ(reference, fingerprint(1));
-  EXPECT_EQ(reference, fingerprint(2));
-  EXPECT_EQ(reference, fingerprint(3));
+  const std::string reference = fingerprint(false);
+  EXPECT_EQ(reference, fingerprint(true));
+  // The fabric is a census row of its own.
+  EXPECT_NE(reference.find("\"fabric\""), std::string::npos);
 }
 
 TEST(SystemEquivalence, MetricsRegistryExportsAreByteIdentical) {
@@ -312,20 +226,18 @@ TEST(SystemEquivalence, MetricsRegistryExportsAreByteIdentical) {
   config.cores = 2;
   const MemoryTrace trace = locality_trace(0.5, 8, 200, 61);
 
-  const auto export_metrics = [&](bool parallel) {
+  const auto export_metrics = [&](bool event) {
     System system(config);
     MetricsRegistry registry;
     system.attach_metrics(&registry);
     system.attach_trace(trace);
-    const SystemRunSummary summary =
-        parallel ? system.run_parallel(4) : system.run();
+    const SystemRunSummary summary = event ? system.run_event() : system.run();
     EXPECT_TRUE(summary.completed);
     return registry.to_json();
   };
 
   const std::string serial = export_metrics(false);
-  const std::string parallel = export_metrics(true);
-  EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(serial, export_metrics(true));
   // Non-trivial export: per-node and fabric namespaces are populated.
   EXPECT_NE(serial.find("node3.router.routed"), std::string::npos);
   EXPECT_NE(serial.find("fabric.link01.requests"), std::string::npos);
@@ -333,7 +245,7 @@ TEST(SystemEquivalence, MetricsRegistryExportsAreByteIdentical) {
 }
 
 TEST(SystemEquivalence, SingleNodeNeedsNoFabricAndStillMatches) {
-  SimConfig config;  // nodes = 1: no fabric, node shard count is 1
+  SimConfig config;  // nodes = 1: no fabric
   const MemoryTrace trace = locality_trace(0.7, 4, 200, 43);
 
   System reference(config);
@@ -342,39 +254,26 @@ TEST(SystemEquivalence, SingleNodeNeedsNoFabricAndStillMatches) {
 
   System system(config);
   system.attach_trace(trace);
-  const SystemRunSummary actual = system.run_parallel(4);
+  const SystemRunSummary actual = system.run_event();
   EXPECT_EQ(expected.stats.to_json(), actual.stats.to_json());
 }
 
 TEST(SystemEquivalence, ZeroHopFabricIsRejectedByEveryEngine) {
-  // A zero-hop fabric is unreproducible under the staged schedule, so all
-  // four engines must refuse it identically — the serial engines accepting
-  // what the staged ones reject would silently break the equivalence
-  // contract (the historical behavior this pins down).
+  // A zero-hop delivery would depend on node tick order, so both engines
+  // must refuse it identically.
   SimConfig config;
   config.nodes = 2;
   config.remote_hop_cycles = 0;
   const MemoryTrace trace = locality_trace(0.5, 4, 50, 47);
-  for (int engine = 0; engine < 4; ++engine) {
+  {
     System system(config);
     system.attach_trace(trace);
-    switch (engine) {
-      case 0:
-        EXPECT_THROW(system.run(), std::invalid_argument) << "run";
-        break;
-      case 1:
-        EXPECT_THROW(system.run_parallel(2), std::invalid_argument)
-            << "run_parallel";
-        break;
-      case 2:
-        EXPECT_THROW(system.run_event(), std::invalid_argument)
-            << "run_event";
-        break;
-      default:
-        EXPECT_THROW(system.run_event_parallel(2), std::invalid_argument)
-            << "run_event_parallel";
-        break;
-    }
+    EXPECT_THROW(system.run(), std::invalid_argument) << "run";
+  }
+  {
+    System system(config);
+    system.attach_trace(trace);
+    EXPECT_THROW(system.run_event(), std::invalid_argument) << "run_event";
   }
   // A single node never crosses the fabric, so zero hops stays legal there.
   SimConfig single = config;
@@ -389,13 +288,12 @@ TEST(SystemEquivalence, ChecksMatchUnderBothEngines) {
   config.nodes = 2;
   const MemoryTrace trace = locality_trace(0.6, 8, 150, 53);
 
-  const auto counters = [&](bool parallel) {
+  const auto counters = [&](bool event) {
     System system(config);
     system.attach_trace(trace);
     CheckContext checks(CheckContext::FailMode::kCount);
     system.attach_checks(&checks);
-    const SystemRunSummary summary =
-        parallel ? system.run_parallel(4) : system.run();
+    const SystemRunSummary summary = event ? system.run_event() : system.run();
     EXPECT_TRUE(summary.completed);
     checks.finalize();
     return std::pair<std::uint64_t, std::uint64_t>(checks.checks_run(),
@@ -403,16 +301,35 @@ TEST(SystemEquivalence, ChecksMatchUnderBothEngines) {
   };
 
   const auto serial = counters(false);
-  const auto parallel = counters(true);
-  EXPECT_EQ(serial.first, parallel.first);
-  EXPECT_EQ(serial.second, parallel.second);
-  EXPECT_EQ(parallel.second, 0u);
+  const auto event = counters(true);
+  EXPECT_GT(serial.first, 0u);
+  EXPECT_EQ(serial.first, event.first);
+  EXPECT_EQ(serial.second, event.second);
+  EXPECT_EQ(event.second, 0u);
+}
+
+// ------------------------------------------------- run-level parallelism
+TEST(RunLevelJobs, SuiteResultsMatchAcrossJobCounts) {
+  const auto render = [](std::uint32_t jobs) {
+    SuiteOptions options;
+    options.scale = 0.02;
+    options.threads = 4;
+    options.only = {"sg", "mg", "sparselu"};
+    options.jobs = jobs;
+    StatSet stats;
+    for (const WorkloadRun& run : run_suite(options)) {
+      run.raw.collect(stats, run.name + ".raw");
+      run.mac.collect(stats, run.name + ".mac");
+    }
+    return stats.to_json();
+  };
+  EXPECT_EQ(render(1), render(4));
 }
 
 // --------------------------------------------------- randomized-config fuzz
-// Random geometry / timing / feeder knobs, random trace shape, random
-// worker count: serial and parallel must agree bit-for-bit on all three
-// paths every time. Seeds are fixed so failures replay deterministically.
+// Random geometry / timing / feeder knobs, random trace shape: the strict
+// and event engines must agree bit-for-bit on every path every time. Seeds
+// are fixed so failures replay deterministically.
 class EquivalenceFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EquivalenceFuzz, RandomConfigsStayBitIdentical) {
@@ -444,23 +361,12 @@ TEST_P(EquivalenceFuzz, RandomConfigsStayBitIdentical) {
   serial.tag_pool = serial.mode == FeedMode::kStreaming
                         ? static_cast<std::uint32_t>(rng.below(3)) * 8
                         : 0;  // 0 (full space), 8 or 16 outstanding tags
-  DriveOptions parallel = serial;
-  parallel.engine = Engine::kParallel;
-  parallel.engine_threads = 1u + static_cast<std::uint32_t>(rng.below(8));
   DriveOptions event = serial;
   event.engine = Engine::kEvent;
-  DriveOptions event_parallel = parallel;
-  event_parallel.engine = Engine::kEventParallel;
 
   for (const char* path : {"mac", "raw", "mshr", "warp"}) {
-    const std::string expected =
-        run_fingerprint(path, trace, config, threads, serial);
-    EXPECT_EQ(expected, run_fingerprint(path, trace, config, threads, parallel))
-        << path << " seed " << GetParam();
-    EXPECT_EQ(expected, run_fingerprint(path, trace, config, threads, event))
-        << path << " seed " << GetParam();
-    EXPECT_EQ(expected,
-              run_fingerprint(path, trace, config, threads, event_parallel))
+    EXPECT_EQ(run_fingerprint(path, trace, config, threads, serial),
+              run_fingerprint(path, trace, config, threads, event))
         << path << " seed " << GetParam();
   }
 }

@@ -10,7 +10,8 @@
 //    wins ties) and the transparent downstream tee;
 //  * empty-stream / zero-request edge cases;
 //  * census exports are byte-identical between System::run and
-//    System::run_parallel;
+//    System::run_event, and a census shared by a --jobs suite counts the
+//    same as at jobs = 1;
 //  * attaching census/decomposer/profiler never perturbs simulated
 //    results (and the subsystem is inert under -DMAC3D_OBS=OFF).
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "sim/driver.hpp"
+#include "sim/experiment.hpp"
 #include "trace/trace.hpp"
 
 namespace mac3d {
@@ -283,30 +285,19 @@ TEST(LatencyDecomposer, EmptyStreamAndZeroRequestEdgeCases) {
 
 // ------------------------------------------------------------- HostProfiler
 
-TEST(HostProfiler, PhaseScopesAndWorkerImbalance) {
+TEST(HostProfiler, PhaseScopesAccumulate) {
   HostProfiler profiler;
   { HostProfiler::Scope scope(&profiler, HostPhase::kTick); }
   EXPECT_GE(profiler.phase_seconds(HostPhase::kTick), 0.0);
   { HostProfiler::Scope scope(nullptr, HostPhase::kTick); }  // no-op
 
-  profiler.add_phase_seconds(HostPhase::kCommit, 1.5);
-  EXPECT_DOUBLE_EQ(profiler.phase_seconds(HostPhase::kCommit), 1.5);
-
-  profiler.set_worker_count(2);
-  profiler.add_worker_busy(0, 3.0);
-  profiler.add_worker_busy(1, 1.0);
-  profiler.add_worker_busy(7, 100.0);  // out of range: dropped
-  EXPECT_DOUBLE_EQ(profiler.worker_imbalance(), 1.5);  // max 3 / mean 2
+  profiler.add_phase_seconds(HostPhase::kTelemetry, 1.5);
+  EXPECT_DOUBLE_EQ(profiler.phase_seconds(HostPhase::kTelemetry), 1.5);
 
   const std::string json = profiler.to_json();
   EXPECT_NE(json.find("\"phase_seconds\""), std::string::npos);
-  EXPECT_NE(json.find("\"imbalance\""), std::string::npos);
-
-  // Zero workers / all-idle pools report 0 rather than dividing by zero.
-  HostProfiler empty;
-  EXPECT_DOUBLE_EQ(empty.worker_imbalance(), 0.0);
-  empty.set_worker_count(3);
-  EXPECT_DOUBLE_EQ(empty.worker_imbalance(), 0.0);
+  EXPECT_NE(json.find("\"tick\""), std::string::npos);
+  EXPECT_NE(json.find("\"sampler\""), std::string::npos);
 }
 
 // -------------------------------------------- engine equivalence & inertness
@@ -317,27 +308,35 @@ TEST(ProfilerEquivalence, CensusExportsAreByteIdenticalAcrossEngines) {
   config.cores = 2;
   const MemoryTrace trace = small_trace(4, 100);
 
-  // 0 = run, 1 = run_parallel, 2 = run_event, 3 = run_event_parallel.
-  const auto census_json = [&](int engine) {
+  const auto census_json = [&](bool event) {
     System system(config);
     system.attach_trace(trace);
     ActivityCensus census;
     system.attach_census(&census);
-    SystemRunSummary summary;
-    switch (engine) {
-      case 0: summary = system.run(); break;
-      case 1: summary = system.run_parallel(4); break;
-      case 2: summary = system.run_event(); break;
-      default: summary = system.run_event_parallel(4); break;
-    }
+    const SystemRunSummary summary = event ? system.run_event() : system.run();
     EXPECT_TRUE(summary.completed);
     census.seal();
     return census.to_json();
   };
-  const std::string reference = census_json(0);
-  EXPECT_EQ(reference, census_json(1));
-  EXPECT_EQ(reference, census_json(2));
-  EXPECT_EQ(reference, census_json(3));
+  EXPECT_EQ(census_json(false), census_json(true));
+}
+
+TEST(ProfilerEquivalence, SharedSuiteCensusMatchesAcrossJobCounts) {
+  // A census shared by the whole suite counts in plain integers, so
+  // run_suite must run one workload at a time whatever `jobs` says.
+  const auto census_json = [](std::uint32_t jobs) {
+    ActivityCensus census;
+    SuiteOptions options;
+    options.scale = 0.02;
+    options.threads = 4;
+    options.only = {"sg", "mg", "sparselu"};
+    options.jobs = jobs;
+    options.drive.census = &census;
+    const std::vector<WorkloadRun> runs = run_suite(options);
+    EXPECT_EQ(runs.size(), 3u);
+    return census.to_json();
+  };
+  EXPECT_EQ(census_json(1), census_json(4));
 }
 
 TEST(ProfilerPerturbation, ProfiledRunsMatchUnprofiledRuns) {
