@@ -11,13 +11,17 @@
 //   mac3d config                             # effective Table-1 config
 //
 // Config overrides compose from MAC3D_CONFIG and repeated --set key=value.
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "arch/system.hpp"
@@ -161,6 +165,20 @@ void usage() {
   std::exit(2);
 }
 
+/// Strict numeric option value: all of `text` must be one decimal number
+/// that fits `T` (no sign on integers, no trailing text, no overflow); a
+/// floating-point value must also be finite and positive.
+template <typename T>
+bool parse_number(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::isfinite(out) && out > 0.0;
+  }
+  return true;
+}
+
 std::optional<CliOptions> parse(int argc, char** argv) {
   if (argc < 2) return std::nullopt;
   CliOptions options;
@@ -173,6 +191,12 @@ std::optional<CliOptions> parse(int argc, char** argv) {
         std::exit(2);
       }
       return argv[++i];
+    };
+    auto number = [&](auto& out) {
+      const char* text = value();
+      if (parse_number(text, out)) return true;
+      std::fprintf(stderr, "bad value '%s' for %s\n", text, arg.c_str());
+      return false;
     };
     if (arg == "--workload") {
       options.workload = value();
@@ -191,13 +215,13 @@ std::optional<CliOptions> parse(int argc, char** argv) {
         pos = comma == std::string::npos ? comma : comma + 1;
       }
     } else if (arg == "--threads") {
-      options.threads = static_cast<std::uint32_t>(std::atoi(value()));
+      if (!number(options.threads)) return std::nullopt;
     } else if (arg == "--nodes") {
-      options.nodes = static_cast<std::uint32_t>(std::atoi(value()));
+      if (!number(options.nodes)) return std::nullopt;
     } else if (arg == "--scale") {
-      options.scale = std::atof(value());
+      if (!number(options.scale)) return std::nullopt;
     } else if (arg == "--seed") {
-      options.seed = std::strtoull(value(), nullptr, 10);
+      if (!number(options.seed)) return std::nullopt;
     } else if (arg == "--set") {
       options.overrides.push_back(value());
     } else if (arg == "--csv") {
@@ -242,27 +266,27 @@ std::optional<CliOptions> parse(int argc, char** argv) {
     } else if (arg == "--engine-threads") {
       removed_engine_option("--engine-threads");
     } else if (arg == "--jobs") {
-      options.jobs = static_cast<std::uint32_t>(std::atoi(value()));
+      if (!number(options.jobs)) return std::nullopt;
     } else if (arg == "--tag-pool") {
-      options.tag_pool = static_cast<std::uint32_t>(std::atoi(value()));
+      if (!number(options.tag_pool)) return std::nullopt;
     } else if (arg == "--trace-events") {
       options.trace_events = value();
     } else if (arg == "--sample-every") {
-      options.sample_every = std::strtoull(value(), nullptr, 10);
+      if (!number(options.sample_every)) return std::nullopt;
     } else if (arg == "--sample-out") {
       options.sample_out = value();
     } else if (arg == "--report") {
       options.report_path = value();
     } else if (arg == "--snapshot-every") {
-      options.snapshot_every = std::strtoull(value(), nullptr, 10);
+      if (!number(options.snapshot_every)) return std::nullopt;
     } else if (arg == "--snapshot-out") {
       options.snapshot_out = value();
     } else if (arg == "--watchdog") {
       options.watchdog = true;
     } else if (arg == "--watchdog-windows") {
-      options.watchdog_windows = std::strtoull(value(), nullptr, 10);
+      if (!number(options.watchdog_windows)) return std::nullopt;
     } else if (arg == "--inject-livelock") {
-      options.inject_livelock = std::strtoull(value(), nullptr, 10);
+      if (!number(options.inject_livelock)) return std::nullopt;
     } else if (arg == "--node-policy") {
       const std::string entry = value();
       const std::size_t eq = entry.find('=');

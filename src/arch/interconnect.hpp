@@ -29,7 +29,7 @@ class Interconnect {
 
   /// `src` is the sending node (it selects the per-link metric).
   void send_request(const RawRequest& request, NodeId dest, Cycle now,
-                    NodeId src = 0) {
+                    [[maybe_unused]] NodeId src = 0) {
     MAC3D_OBS_ACTIVITY(last_work_, now);
     if (consume_drop_fault()) return;
     request_lanes_.at(dest).queue.push_back({now + hop_cycles_, request});
@@ -39,7 +39,7 @@ class Interconnect {
   }
 
   void send_completion(const CompletedAccess& completion, NodeId dest,
-                       Cycle now, NodeId src = 0) {
+                       Cycle now, [[maybe_unused]] NodeId src = 0) {
     MAC3D_OBS_ACTIVITY(last_work_, now);
     if (consume_drop_fault()) return;
     completion_lanes_.at(dest).queue.push_back(

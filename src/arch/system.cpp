@@ -6,8 +6,47 @@
 #include "obs/obs.hpp"
 #include "obs/profiler.hpp"
 #include "obs/snapshot.hpp"
+#include "sim/clock.hpp"
 
 namespace mac3d {
+
+namespace {
+
+/// The System as a Clock feed: every node ticks in index order, the
+/// fabric (null for a single node) rides along inside Node::tick.
+struct NodesFeed {
+  const std::vector<std::unique_ptr<Node>>& nodes;
+  Interconnect* fabric;
+
+  void tick(Cycle now) {
+    for (const auto& node : nodes) node->tick(now, fabric);
+  }
+
+  /// Every node drained and (multi-node) the fabric idle.
+  [[nodiscard]] bool drained() const {
+    if (fabric != nullptr && !fabric->idle()) return false;
+    for (const auto& node : nodes) {
+      if (!node->drained()) return false;
+    }
+    return true;
+  }
+
+  /// The minimum of every node's next-activity oracle and the fabric's
+  /// next delivery.
+  [[nodiscard]] Cycle next_activity(Cycle now) const {
+    Cycle next = kNoActivity;
+    const auto merge = [&next, now](Cycle candidate) {
+      if (candidate == kNoActivity) return;
+      if (candidate <= now) candidate = now + 1;
+      if (next == kNoActivity || candidate < next) next = candidate;
+    };
+    for (const auto& node : nodes) merge(node->next_activity_cycle(now));
+    if (fabric != nullptr) merge(fabric->next_delivery());
+    return next;
+  }
+};
+
+}  // namespace
 
 System::System(const SimConfig& config) : config_(config) {
   config_.validate();
@@ -43,19 +82,19 @@ void System::attach_census(ActivityCensus* census) {
   census->add_stamp("fabric", fabric_->last_work());
 }
 
-void System::register_probes() {
-  if (sampler_ != nullptr) {
-    sampler_->begin_run("system");
+void System::register_probes(CycleSampler* sampler,
+                             SnapshotStreamer* snapshot) {
+  if (sampler != nullptr) {
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       Node* node = nodes_[i].get();
       const std::string prefix = "node" + std::to_string(i);
-      sampler_->add_probe(prefix + "_local_queue", [node](Cycle) {
+      sampler->add_probe(prefix + "_local_queue", [node](Cycle) {
         return static_cast<double>(node->router().local_queue().size());
       });
-      sampler_->add_probe(prefix + "_remote_queue", [node](Cycle) {
+      sampler->add_probe(prefix + "_remote_queue", [node](Cycle) {
         return static_cast<double>(node->router().remote_queue().size());
       });
-      sampler_->add_probe(prefix + "_global_queue", [node](Cycle) {
+      sampler->add_probe(prefix + "_global_queue", [node](Cycle) {
         return static_cast<double>(node->router().global_queue().size());
       });
     }
@@ -63,22 +102,21 @@ void System::register_probes() {
       Interconnect* fabric = fabric_.get();
       for (std::size_t i = 0; i < nodes_.size(); ++i) {
         const NodeId dest = static_cast<NodeId>(i);
-        sampler_->add_probe("fabric_req_backlog_n" + std::to_string(i),
-                            [fabric, dest](Cycle) {
-                              return static_cast<double>(
-                                  fabric->request_backlog(dest));
-                            });
-        sampler_->add_probe("fabric_cmpl_backlog_n" + std::to_string(i),
-                            [fabric, dest](Cycle) {
-                              return static_cast<double>(
-                                  fabric->completion_backlog(dest));
-                            });
+        sampler->add_probe("fabric_req_backlog_n" + std::to_string(i),
+                           [fabric, dest](Cycle) {
+                             return static_cast<double>(
+                                 fabric->request_backlog(dest));
+                           });
+        sampler->add_probe("fabric_cmpl_backlog_n" + std::to_string(i),
+                           [fabric, dest](Cycle) {
+                             return static_cast<double>(
+                                 fabric->completion_backlog(dest));
+                           });
       }
     }
   }
-  if (snapshot_ != nullptr) {
-    snapshot_->begin_run("system");
-    snapshot_->add_counter(SnapshotStreamer::kInjectedCounter, [this] {
+  if (snapshot != nullptr) {
+    snapshot->add_counter(SnapshotStreamer::kInjectedCounter, [this] {
       std::uint64_t total = 0;
       for (const auto& node : nodes_) {
         for (std::size_t c = 0; c < node->core_count(); ++c) {
@@ -87,12 +125,12 @@ void System::register_probes() {
       }
       return total;
     });
-    snapshot_->add_counter(SnapshotStreamer::kCompletionsCounter, [this] {
+    snapshot->add_counter(SnapshotStreamer::kCompletionsCounter, [this] {
       std::uint64_t total = 0;
       for (const auto& node : nodes_) total += node->completions_delivered();
       return total;
     });
-    snapshot_->add_gauge("router_backlog", [this] {
+    snapshot->add_gauge("router_backlog", [this] {
       std::size_t total = 0;
       for (const auto& node : nodes_) {
         total += node->router().local_queue().size() +
@@ -101,7 +139,6 @@ void System::register_probes() {
       }
       return static_cast<double>(total);
     });
-    snapshot_->attach_census(census_);
   }
 }
 
@@ -140,111 +177,25 @@ void System::validate_engine_config(const char* engine_name) const {
   }
 }
 
-Cycle System::next_wake(Cycle now, const Interconnect* fabric,
-                        Cycle max_cycles) const {
-  Cycle next = 0;
-  const auto merge = [&next, now](Cycle candidate) {
-    if (candidate == 0) return;
-    if (candidate <= now) candidate = now + 1;
-    if (next == 0 || candidate < next) next = candidate;
-  };
-  for (const auto& node : nodes_) merge(node->next_activity_cycle(now));
-  if (fabric != nullptr) merge(fabric->next_delivery());
-  // No advertised activity but not drained either (the caller already
-  // checked): fall back to single-stepping rather than stalling.
-  if (next == 0) next = now + 1;
-  // Snapshot boundaries are mandatory landing cycles: never skip over
-  // one, so every engine samples every window at identical state.
-  if (snapshot_ != nullptr && snapshot_->next_boundary(now) < next) {
-    next = snapshot_->next_boundary(now);
-  }
-  return next < max_cycles ? next : max_cycles;
-}
-
-void System::credit_skip(Cycle now, Cycle next) {
-  if (next <= now + 1) return;
-  if (census_ != nullptr) {
-    HostProfiler::Scope scope(profiler_, HostPhase::kTelemetry);
-    census_->skip_to(next);
-  }
-  if (sampler_ != nullptr) {
-    HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
-    sampler_->advance_to(next - 1);
-  }
-}
-
 SystemRunSummary System::run(Cycle max_cycles) {
-  return run_loop("run", false, max_cycles);
+  return simulate("run", false, max_cycles);
 }
 
 SystemRunSummary System::run_event(Cycle max_cycles) {
-  return run_loop("run_event", true, max_cycles);
+  return simulate("run_event", true, max_cycles);
 }
 
-bool System::drained(const Interconnect* fabric) const {
-  if (fabric != nullptr && !fabric->idle()) return false;
-  for (const auto& node : nodes_) {
-    if (!node->drained()) return false;
-  }
-  return true;
-}
-
-SystemRunSummary System::run_loop(const char* engine_name, bool event,
+SystemRunSummary System::simulate(const char* engine_name, bool event,
                                   Cycle max_cycles) {
   validate_engine_config(engine_name);
-  Interconnect* fabric = nodes_.size() > 1 ? fabric_.get() : nullptr;
-  register_probes();
-
-  bool completed = false;
-  Cycle now = 0;
-  std::uint64_t visited = 0;
-  try {
-    while (now < max_cycles) {
-      ++visited;
-      {
-        HostProfiler::Scope scope(profiler_, HostPhase::kTick);
-        for (auto& node : nodes_) node->tick(now, fabric);
-      }
-      if (census_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kTelemetry);
-        census_->observe(now);
-      }
-      if (sampler_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
-        sampler_->advance_to(now);
-      }
-      if (snapshot_ != nullptr) {
-        HostProfiler::Scope scope(profiler_, HostPhase::kSampler);
-        snapshot_->advance_to(now);
-        // A fired watchdog abandons the run (summary.completed stays
-        // false) — the only exit a stalled system has short of
-        // max_cycles.
-        if (snapshot_->watchdog_fired()) break;
-      }
-      if (drained(fabric)) {
-        completed = true;
-        ++now;
-        break;
-      }
-      // The only fork between the engines: the strict loop steps one
-      // cycle, the event engine jumps to the next wake-up.
-      if (!event) {
-        ++now;
-        continue;
-      }
-      const Cycle next = next_wake(now, fabric, max_cycles);
-      credit_skip(now, next);
-      now = next;
-    }
-  } catch (...) {
-    if (sampler_ != nullptr) sampler_->abort_run();
-    if (snapshot_ != nullptr) snapshot_->abort_run();
-    throw;
-  }
-  if (sampler_ != nullptr) sampler_->end_run(now);
-  if (snapshot_ != nullptr) snapshot_->end_run(now);
-  SystemRunSummary summary = summarize(now, completed);
-  if (event) summary.visited_cycles = visited;
+  Clock sim_clock({census_, sampler_, snapshot_, profiler_}, "system",
+                  event, /*seal_census=*/false);
+  register_probes(sim_clock.sampler(), sim_clock.snapshot());
+  NodesFeed feed{nodes_, nodes_.size() > 1 ? fabric_.get() : nullptr};
+  const ClockRun run = sim_clock.run(feed, max_cycles);
+  sim_clock.end(run.end);
+  SystemRunSummary summary = summarize(run.end, run.completed);
+  if (event) summary.visited_cycles = run.visited;
   finalize_metrics(summary);
   return summary;
 }

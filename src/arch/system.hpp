@@ -47,6 +47,9 @@ class System {
   /// Run until every thread drains (or `max_cycles`), ticking every
   /// cycle. Multi-node configs require remote_hop_cycles >= 1, enforced
   /// by both engines: a zero-hop delivery would depend on node tick order.
+  /// Both engines run on the Clock (src/sim/clock.hpp), which ignores the
+  /// attached sampler, census, snapshot streamer and profiler when the
+  /// build disables MAC3D_OBS.
   SystemRunSummary run(Cycle max_cycles = 2'000'000'000ULL);
 
   /// Event-driven fast-forward run (docs/PARALLELISM.md §event-driven
@@ -120,30 +123,19 @@ class System {
   }
 
  private:
-  /// The one run loop behind run() and run_event(): tick, census,
-  /// sampler/snapshot, watchdog, drained — then step one cycle (strict)
-  /// or jump to next_wake (event). `engine_name` labels a rejected config.
-  SystemRunSummary run_loop(const char* engine_name, bool event,
+  /// run() and run_event() on the one Clock (src/sim/clock.hpp), with the
+  /// System as its feed. `engine_name` labels a rejected config.
+  SystemRunSummary simulate(const char* engine_name, bool event,
                             Cycle max_cycles);
-  /// Engine-independent config validation, run at the top of the loop so
+  /// Engine-independent config validation, run before the clock starts so
   /// neither engine accepts a config the other rejects. `engine_name`
   /// labels the thrown std::invalid_argument.
   void validate_engine_config(const char* engine_name) const;
-  /// Every node drained and (multi-node) the fabric idle.
-  [[nodiscard]] bool drained(const Interconnect* fabric) const;
   /// Shared end-of-run accounting (node order, both engines).
   SystemRunSummary summarize(Cycle cycles, bool completed) const;
-  /// Event-engine jump target after ticking `now`: the minimum of every
-  /// node's next-activity oracle and the fabric's next delivery, floored
-  /// at now + 1 and clamped to `max_cycles`.
-  [[nodiscard]] Cycle next_wake(Cycle now, const Interconnect* fabric,
-                                Cycle max_cycles) const;
-  /// Credit the span (now, next) the event engine is about to skip to the
-  /// census and sampler — before the landing tick, while device busy
-  /// thresholds are frozen.
-  void credit_skip(Cycle now, Cycle next);
-  /// begin_run + per-node/fabric probe registration (no-op when detached).
-  void register_probes();
+  /// Per-node/fabric probe registration on the clock's surfaces (either
+  /// may be null).
+  void register_probes(CycleSampler* sampler, SnapshotStreamer* snapshot);
   /// End-of-run gauge writes (see attach_metrics).
   void finalize_metrics(const SystemRunSummary& summary);
 

@@ -11,6 +11,17 @@
 
 namespace mac3d {
 
+void MshrCoalescer::collect(StatSet& out, const std::string& prefix) const {
+  const std::string base = prefix + ".mshr";
+  out.set(base + ".raw_in", static_cast<double>(stats_.raw_in));
+  out.set(base + ".merged", static_cast<double>(stats_.merged));
+  out.set(base + ".packets_out", static_cast<double>(stats_.packets_out));
+  out.set(base + ".stalls_full", static_cast<double>(stats_.stalls_full));
+  out.set(base + ".coalescing_efficiency", stats_.coalescing_efficiency());
+  out.set(base + ".avg_raw_latency_cycles",
+          stats_.raw_latency_cycles.mean());
+}
+
 MshrCoalescer::MshrCoalescer(const SimConfig& config, HmcDevice& device,
                              std::uint32_t entries, std::uint32_t block_bytes)
     : config_(config),

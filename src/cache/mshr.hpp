@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -63,12 +64,32 @@ class MshrCoalescer {
   [[nodiscard]] Cycle next_event(Cycle now) const noexcept;
 
   [[nodiscard]] const MshrStats& stats() const noexcept { return stats_; }
-  /// Live MSHR file entries (cycle-sampler probe).
+
+  // ---- Policy surface (MacCoalescer documents each member) --------------
+  static constexpr CoalescerPolicy kPolicy = CoalescerPolicy::kMshr;
+  [[nodiscard]] std::uint64_t raw_in() const noexcept { return stats_.raw_in; }
+  [[nodiscard]] std::uint64_t injected() const noexcept {
+    return stats_.raw_in + stats_.fences_in;
+  }
+  /// Live MSHR file entries.
   [[nodiscard]] std::size_t occupancy() const noexcept { return file_.size(); }
-  /// Entries waiting to dispatch a transaction (cycle-sampler probe).
-  [[nodiscard]] std::size_t dispatch_backlog() const noexcept {
+  /// Entries waiting to dispatch a transaction.
+  [[nodiscard]] std::size_t issue_backlog() const noexcept {
     return dispatch_queue_.size();
   }
+  [[nodiscard]] const RunningStat& raw_latency() const noexcept {
+    return stats_.raw_latency_cycles;
+  }
+  /// Every transaction is one fixed-size block.
+  [[nodiscard]] std::map<std::uint32_t, std::uint64_t> packets_by_size()
+      const {
+    return {{block_bytes_, stats_.packets_out}};
+  }
+  template <typename Census>
+  void register_census(Census& census, const std::string& prefix) const {
+    census.add_stamp(prefix + "mshr", last_work_);
+  }
+  void collect(StatSet& out, const std::string& prefix) const;
 
   /// Enable request/response conservation checking plus the MSHR
   /// occupancy-bound invariant (docs/INVARIANTS.md §cache). Same contract

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/config.hpp"
@@ -103,9 +104,42 @@ class MacCoalescer {
 
   [[nodiscard]] const MacStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const Arq& arq() const noexcept { return arq_; }
-  /// Built/bypassed packets waiting on the link (cycle-sampler probe).
+
+  // ---- Policy surface (DESIGN.md §policy): the members all four path
+  // classes share, so run owners host every policy through one template.
+  static constexpr CoalescerPolicy kPolicy = CoalescerPolicy::kMac;
+  /// Raw requests (loads + stores + atomics) accepted.
+  [[nodiscard]] std::uint64_t raw_in() const noexcept { return stats_.raw_in; }
+  /// Everything accepted that will complete: raw requests plus fences.
+  [[nodiscard]] std::uint64_t injected() const noexcept {
+    return stats_.raw_in + stats_.fences_in;
+  }
+  /// Requests buffered at intake (the queue_occupancy probe): ARQ entries.
+  [[nodiscard]] std::size_t occupancy() const noexcept { return arq_.size(); }
+  /// Built/bypassed packets waiting on the link (the issue_backlog probe).
   [[nodiscard]] std::size_t issue_backlog() const noexcept {
     return issue_queue_.size();
+  }
+  /// Per raw request, accept -> complete.
+  [[nodiscard]] const RunningStat& raw_latency() const noexcept {
+    return stats_.raw_latency_cycles;
+  }
+  [[nodiscard]] std::map<std::uint32_t, std::uint64_t> packets_by_size()
+      const {
+    return stats_.packets_by_size;
+  }
+  /// Census stamp rows `<prefix>mac`, `arq`, `builder`, `flit_table`
+  /// (templated on the census like HmcDevice::register_census).
+  template <typename Census>
+  void register_census(Census& census, const std::string& prefix) const {
+    census.add_stamp(prefix + "mac", last_work_);
+    census.add_stamp(prefix + "arq", arq_last_work_);
+    census.add_stamp(prefix + "builder", builder_last_work_);
+    census.add_stamp(prefix + "flit_table", flit_last_work_);
+  }
+  /// Emit the path's stats under `prefix` + ".mac.*".
+  void collect(StatSet& out, const std::string& prefix) const {
+    stats_.collect(out, prefix + ".mac");
   }
   [[nodiscard]] const RequestBuilder& builder() const noexcept {
     return builder_;

@@ -166,8 +166,8 @@ bool WarpCoalescer::issue_iteration(Cycle now) {
   ++stats_.packets_by_size[packet_bytes];
   MAC3D_OBS_STAMP(sink_, Stage::kBuilderPick, lead.tid, lead.tag, now);
   for (std::size_t m = 1; m < merged.size(); ++m) {
-    const RawRequest& req = window_[merged[m]].request;
-    MAC3D_OBS_STAMP(sink_, Stage::kMerge, req.tid, req.tag, now);
+    MAC3D_OBS_STAMP(sink_, Stage::kMerge, window_[merged[m]].request.tid,
+                    window_[merged[m]].request.tag, now);
   }
   for (const std::size_t i : merged) window_[i].served = true;
   window_served_ += merged.size();

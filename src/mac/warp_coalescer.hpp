@@ -86,15 +86,34 @@ class WarpCoalescer {
   [[nodiscard]] Cycle next_event(Cycle now) const noexcept;
 
   [[nodiscard]] const WarpStats& stats() const noexcept { return stats_; }
+
+  // ---- Policy surface (MacCoalescer documents each member) --------------
+  static constexpr CoalescerPolicy kPolicy = CoalescerPolicy::kWarp;
+  [[nodiscard]] std::uint64_t raw_in() const noexcept { return stats_.raw_in; }
+  [[nodiscard]] std::uint64_t injected() const noexcept {
+    return stats_.raw_in + stats_.fences_in;
+  }
   /// Raw requests buffered (intake FIFO + unserved window lanes).
   [[nodiscard]] std::size_t occupancy() const noexcept {
     return pending_.size() + unserved();
   }
-  [[nodiscard]] std::size_t window_backlog() const noexcept {
+  /// Window lanes not yet served by a coalescing iteration.
+  [[nodiscard]] std::size_t issue_backlog() const noexcept {
     return unserved();
   }
-  [[nodiscard]] std::uint64_t outstanding() const noexcept {
-    return outstanding_;
+  [[nodiscard]] const RunningStat& raw_latency() const noexcept {
+    return stats_.raw_latency_cycles;
+  }
+  [[nodiscard]] std::map<std::uint32_t, std::uint64_t> packets_by_size()
+      const {
+    return stats_.packets_by_size;
+  }
+  template <typename Census>
+  void register_census(Census& census, const std::string& prefix) const {
+    census.add_stamp(prefix + "warp", last_work_);
+  }
+  void collect(StatSet& out, const std::string& prefix) const {
+    stats_.collect(out, prefix + ".warp");
   }
 
   /// Enable invariant checking (docs/INVARIANTS.md): request conservation

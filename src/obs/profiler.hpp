@@ -151,8 +151,8 @@ class ActivityCensus {
 
 /// Engine phases the host profiler attributes wall-clock to.
 enum class HostPhase : std::uint8_t {
-  kTick = 0,    ///< component tick
-  kTelemetry,   ///< census observe + lifecycle/trace bookkeeping
+  kTick = 0,    ///< component tick, memory-path drain included
+  kTelemetry,   ///< census observe + skip credit
   kSampler,     ///< cycle-sampler probe evaluation
 };
 

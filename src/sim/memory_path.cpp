@@ -1,5 +1,7 @@
 #include "sim/memory_path.hpp"
 
+#include <type_traits>
+
 #include "cache/mshr.hpp"
 #include "mac/coalescer.hpp"
 #include "mac/warp_coalescer.hpp"
@@ -13,120 +15,59 @@ MemoryPath::~MemoryPath() = default;
 
 namespace {
 
-/// Shared plumbing: everything except the per-path stat/census specifics.
-template <typename Path, CoalescerPolicy kPolicy>
-class PathAdapter : public MemoryPath {
+/// The one adapter: every path class carries the same policy surface
+/// (kPolicy, register_census, collect, ...), so each call forwards as is.
+template <typename Path>
+class PathAdapter final : public MemoryPath {
  public:
   template <typename... Args>
   explicit PathAdapter(Args&&... args)
       : path_(std::forward<Args>(args)...) {}
 
-  [[nodiscard]] CoalescerPolicy policy() const noexcept final {
-    return kPolicy;
-  }
-  [[nodiscard]] const char* name() const noexcept final {
-    return to_string(kPolicy).data();  // enum names are NUL-terminated
+  [[nodiscard]] const char* name() const noexcept override {
+    return to_string(Path::kPolicy).data();  // enum names are NUL-terminated
   }
 
-  [[nodiscard]] bool can_accept() const final { return path_.can_accept(); }
-  bool try_accept(const RawRequest& request, Cycle now) final {
-    return path_.try_accept(request, now);
-  }
-  void accept(const RawRequest& request, Cycle now) final {
+  [[nodiscard]] bool can_accept() const override { return path_.can_accept(); }
+  void accept(const RawRequest& request, Cycle now) override {
     path_.accept(request, now);
   }
-  void tick(Cycle now) final { path_.tick(now); }
-  std::vector<CompletedAccess> drain(Cycle now) final {
+  void tick(Cycle now) override { path_.tick(now); }
+  std::vector<CompletedAccess> drain(Cycle now) override {
     return path_.drain(now);
   }
-  [[nodiscard]] bool idle() const final { return path_.idle(); }
-  [[nodiscard]] Cycle next_event(Cycle now) const final {
+  [[nodiscard]] bool idle() const override { return path_.idle(); }
+  [[nodiscard]] Cycle next_event(Cycle now) const override {
     return path_.next_event(now);
   }
-  [[nodiscard]] bool did_work_this_cycle(Cycle now) const final {
+  [[nodiscard]] bool did_work_this_cycle(Cycle now) const override {
     return path_.did_work_this_cycle(now);
   }
-  [[nodiscard]] Cycle next_activity_cycle(Cycle now) const final {
+  [[nodiscard]] Cycle next_activity_cycle(Cycle now) const override {
     return path_.next_activity_cycle(now);
   }
   void attach_checks(CheckContext* context,
-                     const std::string& scope_prefix) final {
+                     const std::string& scope_prefix) override {
     path_.attach_checks(context, scope_prefix + name());
   }
-  void attach_sink(EventSink* sink) final { path_.attach_sink(sink); }
+  void attach_sink(EventSink* sink) override { path_.attach_sink(sink); }
+  void register_census(ActivityCensus& census,
+                       const std::string& prefix) override {
+    path_.register_census(census, prefix);
+  }
+  void collect(StatSet& out, const std::string& prefix) const override {
+    path_.collect(out, prefix);
+  }
+  [[nodiscard]] MacCoalescer* as_mac() noexcept override {
+    if constexpr (std::is_same_v<Path, MacCoalescer>) {
+      return &path_;
+    } else {
+      return nullptr;
+    }
+  }
 
- protected:
+ private:
   Path path_;
-};
-
-class MacAdapter final
-    : public PathAdapter<MacCoalescer, CoalescerPolicy::kMac> {
- public:
-  using PathAdapter::PathAdapter;
-
-  void register_census(ActivityCensus& census,
-                       const std::string& prefix) override {
-    census.add_stamp(prefix + "mac", path_.last_work());
-    census.add_stamp(prefix + "arq", path_.arq_last_work());
-    census.add_stamp(prefix + "builder", path_.builder_last_work());
-    census.add_stamp(prefix + "flit_table", path_.flit_table_last_work());
-  }
-  void collect(StatSet& out, const std::string& prefix) const override {
-    path_.stats().collect(out, prefix + ".mac");
-  }
-  [[nodiscard]] MacCoalescer* as_mac() noexcept override { return &path_; }
-};
-
-class RawAdapter final : public PathAdapter<RawPath, CoalescerPolicy::kRaw> {
- public:
-  using PathAdapter::PathAdapter;
-
-  void register_census(ActivityCensus& census,
-                       const std::string& prefix) override {
-    census.add_stamp(prefix + "queue", path_.last_work());
-  }
-  void collect(StatSet& out, const std::string& prefix) const override {
-    const std::string base = prefix + ".raw";
-    out.set(base + ".raw_in", static_cast<double>(path_.raw_in()));
-    out.set(base + ".packets_out", static_cast<double>(path_.packets_out()));
-    out.set(base + ".avg_raw_latency_cycles", path_.latency().mean());
-  }
-};
-
-class MshrAdapter final
-    : public PathAdapter<MshrCoalescer, CoalescerPolicy::kMshr> {
- public:
-  using PathAdapter::PathAdapter;
-
-  void register_census(ActivityCensus& census,
-                       const std::string& prefix) override {
-    census.add_stamp(prefix + "mshr", path_.last_work());
-  }
-  void collect(StatSet& out, const std::string& prefix) const override {
-    const std::string base = prefix + ".mshr";
-    const MshrStats& stats = path_.stats();
-    out.set(base + ".raw_in", static_cast<double>(stats.raw_in));
-    out.set(base + ".merged", static_cast<double>(stats.merged));
-    out.set(base + ".packets_out", static_cast<double>(stats.packets_out));
-    out.set(base + ".stalls_full", static_cast<double>(stats.stalls_full));
-    out.set(base + ".coalescing_efficiency", stats.coalescing_efficiency());
-    out.set(base + ".avg_raw_latency_cycles",
-            stats.raw_latency_cycles.mean());
-  }
-};
-
-class WarpAdapter final
-    : public PathAdapter<WarpCoalescer, CoalescerPolicy::kWarp> {
- public:
-  using PathAdapter::PathAdapter;
-
-  void register_census(ActivityCensus& census,
-                       const std::string& prefix) override {
-    census.add_stamp(prefix + "warp", path_.last_work());
-  }
-  void collect(StatSet& out, const std::string& prefix) const override {
-    path_.stats().collect(out, prefix + ".warp");
-  }
 };
 
 }  // namespace
@@ -135,17 +76,16 @@ std::unique_ptr<MemoryPath> make_memory_path(const SimConfig& config,
                                              HmcDevice& device) {
   switch (config.policy) {
     case CoalescerPolicy::kRaw:
-      return std::make_unique<RawAdapter>(config, device);
+      return std::make_unique<PathAdapter<RawPath>>(config, device);
     case CoalescerPolicy::kMshr:
-      return std::make_unique<MshrAdapter>(config, device,
-                                           config.mshr_entries,
-                                           config.mshr_block_bytes);
+      return std::make_unique<PathAdapter<MshrCoalescer>>(
+          config, device, config.mshr_entries, config.mshr_block_bytes);
     case CoalescerPolicy::kWarp:
-      return std::make_unique<WarpAdapter>(config, device);
+      return std::make_unique<PathAdapter<WarpCoalescer>>(config, device);
     case CoalescerPolicy::kMac:
       break;
   }
-  return std::make_unique<MacAdapter>(config, device);
+  return std::make_unique<PathAdapter<MacCoalescer>>(config, device);
 }
 
 }  // namespace mac3d

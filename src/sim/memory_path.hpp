@@ -4,9 +4,10 @@
 // its path once at construction from SimConfig::policy, so one virtual
 // hop per call is paid only where the policy is a run-time knob.
 //
-// Adapters exist for all four policies — mac, raw, mshr, warp — and keep
-// each path's established metric / census / check-scope namespaces, so a
-// default (mac) system run is byte-identical to the pre-interface output.
+// One PathAdapter template serves all four policies — mac, raw, mshr,
+// warp: each path class carries the same policy surface (kPolicy,
+// register_census, collect, ...), so the adapter only forwards and every
+// path keeps its metric / census / check-scope namespaces.
 #pragma once
 
 #include <memory>
@@ -30,13 +31,11 @@ class MemoryPath {
  public:
   virtual ~MemoryPath();
 
-  [[nodiscard]] virtual CoalescerPolicy policy() const noexcept = 0;
   /// The namespace leaf ("mac", "raw", "mshr", "warp") used for metric
   /// prefixes, census rows and check scopes.
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 
   [[nodiscard]] virtual bool can_accept() const = 0;
-  virtual bool try_accept(const RawRequest& request, Cycle now) = 0;
   virtual void accept(const RawRequest& request, Cycle now) = 0;
   virtual void tick(Cycle now) = 0;
   virtual std::vector<CompletedAccess> drain(Cycle now) = 0;

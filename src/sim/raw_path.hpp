@@ -6,6 +6,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -146,21 +147,35 @@ class RawPath {
     return completion > now ? completion : now + 1;
   }
 
+  // ---- Policy surface (MacCoalescer documents each member) --------------
+  static constexpr CoalescerPolicy kPolicy = CoalescerPolicy::kRaw;
   [[nodiscard]] std::uint64_t raw_in() const noexcept { return raw_in_; }
-  [[nodiscard]] std::uint64_t fences_in() const noexcept {
-    return fences_in_;
+  [[nodiscard]] std::uint64_t injected() const noexcept {
+    return raw_in_ + fences_in_;
   }
-  [[nodiscard]] std::uint64_t packets_out() const noexcept {
-    return packets_out_;
-  }
-  [[nodiscard]] std::size_t queue_depth() const noexcept {
+  /// Requests waiting in the FIFO.
+  [[nodiscard]] std::size_t occupancy() const noexcept {
     return queue_.size();
   }
-  [[nodiscard]] std::uint64_t outstanding() const noexcept {
-    return outstanding_;
-  }
-  [[nodiscard]] const RunningStat& latency() const noexcept {
+  /// The FIFO issues straight from its head: there is no backlog stage.
+  [[nodiscard]] std::size_t issue_backlog() const noexcept { return 0; }
+  [[nodiscard]] const RunningStat& raw_latency() const noexcept {
     return latency_;
+  }
+  /// Every transaction is one FLIT.
+  [[nodiscard]] std::map<std::uint32_t, std::uint64_t> packets_by_size()
+      const {
+    return {{kFlitBytes, packets_out_}};
+  }
+  template <typename Census>
+  void register_census(Census& census, const std::string& prefix) const {
+    census.add_stamp(prefix + "queue", last_work_);
+  }
+  void collect(StatSet& out, const std::string& prefix) const {
+    const std::string base = prefix + ".raw";
+    out.set(base + ".raw_in", static_cast<double>(raw_in_));
+    out.set(base + ".packets_out", static_cast<double>(packets_out_));
+    out.set(base + ".avg_raw_latency_cycles", latency_.mean());
   }
 
   /// Enable request/response conservation checking (docs/INVARIANTS.md

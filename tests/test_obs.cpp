@@ -24,11 +24,14 @@
 #include "obs/registry.hpp"
 #include "obs/run_report.hpp"
 #include "obs/sampler.hpp"
+#include "recording_sink.hpp"
 #include "sim/driver.hpp"
 #include "trace/trace.hpp"
 
 namespace mac3d {
 namespace {
+
+#if MAC3D_OBS_ENABLED
 
 /// Mixed random stream (loads/stores/atomics, compute gaps, fences) over a
 /// small row range so every lifecycle shape appears, merges included.
@@ -62,8 +65,6 @@ DriverResult run_path(const std::string& path, const MemoryTrace& trace,
   if (path == "raw") return run_raw(trace, config, 4, options);
   return run_mshr(trace, config, 4, 32, 64, options);
 }
-
-#if MAC3D_OBS_ENABLED
 
 TEST(Lifecycle, EveryPathAndFeedModeAuditsCleanWithCompleteRecords) {
   const MemoryTrace trace = random_trace(21, 4, 300);
@@ -159,31 +160,6 @@ TEST(Lifecycle, AttachingASinkDoesNotPerturbTheSimulation) {
         << path;
   }
 }
-
-/// Serializes every stamp into a line log so two runs' telemetry streams
-/// can be compared byte-for-byte (engine-equivalence tests below).
-class RecordingSink final : public EventSink {
- public:
-  void on_stage(Stage stage, ThreadId tid, Tag tag, Cycle cycle) override {
-    log_ << "s " << static_cast<int>(stage) << ' ' << tid << ' ' << tag << ' '
-         << cycle << '\n';
-  }
-  void on_merge(ThreadId tid, Tag tag, ThreadId leader_tid, Tag leader_tag,
-                Cycle cycle) override {
-    log_ << "m " << tid << ' ' << tag << ' ' << leader_tid << ' '
-         << leader_tag << ' ' << cycle << '\n';
-  }
-  void on_hop(Hop hop, ThreadId tid, Tag tag, NodeId src, NodeId dest,
-              Cycle cycle) override {
-    log_ << "h " << static_cast<int>(hop) << ' ' << tid << ' ' << tag << ' '
-         << static_cast<unsigned>(src) << ' ' << static_cast<unsigned>(dest)
-         << ' ' << cycle << '\n';
-  }
-  [[nodiscard]] std::string str() const { return log_.str(); }
-
- private:
-  std::ostringstream log_;
-};
 
 // The other audit tests run the default event engine; this one pins the
 // strict cycle engine to the same clean audit.
@@ -583,11 +559,11 @@ TEST(Tracer, AuditFlagsBackwardCycleAndStageOrder)
 
 TEST(Lifecycle, DisabledBuildCompilesStampsToNothing) {
   // The macros must expand to no-ops without evaluating the sink.
-  LifecycleTracer* sink = nullptr;
+  [[maybe_unused]] LifecycleTracer* sink = nullptr;
   MAC3D_OBS_STAMP(sink, Stage::kCoreIssue, 0, 0, 0);
   MAC3D_OBS_MERGE(sink, 0, 0, 0, 0, 0);
   MAC3D_OBS_HOP(sink, Hop::kRequestSend, 0, 0, 0, 1, 0);
-  MetricCounter* counter = nullptr;
+  [[maybe_unused]] MetricCounter* counter = nullptr;
   MAC3D_OBS_COUNT(counter);
   MAC3D_OBS_COUNT_N(counter, 7);
   SUCCEED();

@@ -6,9 +6,15 @@
 // System::run_event must likewise match System::run. A randomized-config
 // fuzz loop widens the net beyond the hand-picked grid. Run-level
 // parallelism (SuiteOptions::jobs) must not change any result either.
+// Both engines changing alike would pass all of that, so a golden file
+// (tests/golden/engine_fingerprints.txt) also pins one hash per policy x
+// feed x engine run and per System engine run to recorded outputs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,9 +22,13 @@
 #include "check/check.hpp"
 #include "common/config.hpp"
 #include "common/rng.hpp"
+#include "obs/obs.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/run_report.hpp"
+#include "obs/sampler.hpp"
+#include "obs/snapshot.hpp"
+#include "recording_sink.hpp"
 #include "sim/driver.hpp"
 #include "sim/experiment.hpp"
 #include "trace/trace.hpp"
@@ -66,16 +76,23 @@ CoalescerPolicy policy_of(const std::string& path) {
 }
 
 /// Run one path under the given options and render everything comparable
-/// about the run into one JSON string: the full StatSet, the check
-/// counters and the idle-census export. String equality == bit identity
+/// about the run into one string: the full StatSet, the check counters,
+/// the idle-census export, the sampler CSV, the snapshot JSONL and the
+/// lifecycle stamp stream. String equality == bit identity
 /// (StatSet::to_json prints doubles at full round-trip precision).
 std::string run_fingerprint(const std::string& path, const MemoryTrace& trace,
                             const SimConfig& config, std::uint32_t threads,
                             DriveOptions options) {
   CheckContext checks(CheckContext::FailMode::kCount);
   ActivityCensus census;
+  CycleSampler sampler(64);
+  SnapshotStreamer snapshot(256);
+  RecordingSink stamps;
   options.checks = &checks;
   options.census = &census;
+  options.sampler = &sampler;
+  options.snapshot = &snapshot;
+  options.sink = &stamps;
   const DriverResult result =
       run_policy(policy_of(path), trace, config, threads, options);
   StatSet stats;
@@ -83,7 +100,63 @@ std::string run_fingerprint(const std::string& path, const MemoryTrace& trace,
   stats.set("checks.run", static_cast<double>(result.checks_run));
   stats.set("checks.violations", static_cast<double>(result.check_violations));
   census.seal();
-  return stats.to_json() + "\n" + census.to_json();
+  return stats.to_json() + "\n" + census.to_json() + "\n" + sampler.to_csv() +
+         snapshot.str() + stamps.str();
+}
+
+/// System::run (serial) or run_event at 4 nodes with every telemetry
+/// surface attached, rendered like run_fingerprint plus the metrics
+/// registry, the summary and the visited-cycle count (engine-specific:
+/// it pins the event engine's skipping too).
+std::string system_fingerprint(bool event) {
+  SimConfig config;
+  config.nodes = 4;
+  config.cores = 2;
+  const MemoryTrace trace = locality_trace(0.5, 8, 200, 61);
+  System system(config);
+  CheckContext checks(CheckContext::FailMode::kCount);
+  MetricsRegistry registry;
+  ActivityCensus census;
+  CycleSampler sampler(64);
+  SnapshotStreamer snapshot(256);
+  RecordingSink stamps;
+  HostProfiler profiler;  // host time only: never part of the fingerprint
+  system.attach_checks(&checks);
+  system.attach_sink(&stamps);
+  system.attach_metrics(&registry);
+  system.attach_census(&census);
+  system.attach_sampler(&sampler);
+  system.attach_snapshot(&snapshot);
+  system.attach_profiler(&profiler);
+  system.attach_trace(trace);
+  const SystemRunSummary summary = event ? system.run_event() : system.run();
+  checks.finalize();
+  census.seal();
+  std::ostringstream out;
+  out << summary.cycles << ' ' << summary.completed << ' '
+      << summary.requests << ' ' << summary.completions << ' '
+      << summary.visited_cycles << ' ' << checks.checks_run() << ' '
+      << checks.violations() << '\n'
+      << summary.stats.to_json() << '\n'
+      << registry.to_json() << '\n'
+      << census.to_json() << '\n'
+      << sampler.to_csv() << snapshot.str() << stamps.str();
+  return out.str();
+}
+
+/// FNV-1a 64: a stable, platform-independent hash for the golden file.
+std::string fnv1a_hex(const std::string& text) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;
+  }
+  std::ostringstream out;
+  out << std::hex;
+  out.width(16);
+  out.fill('0');
+  out << hash;
+  return out.str();
 }
 
 struct GridCase {
@@ -356,8 +429,9 @@ TEST_P(EquivalenceFuzz, RandomConfigsStayBitIdentical) {
 
   DriveOptions serial;
   serial.engine = Engine::kSerial;
-  serial.mode =
-      rng.below(2) == 0 ? FeedMode::kStreaming : FeedMode::kClosedLoop;
+  const FeedMode modes[] = {FeedMode::kStreaming, FeedMode::kClosedLoop,
+                            FeedMode::kLaneGroup};
+  serial.mode = modes[rng.below(3)];
   serial.tag_pool = serial.mode == FeedMode::kStreaming
                         ? static_cast<std::uint32_t>(rng.below(3)) * 8
                         : 0;  // 0 (full space), 8 or 16 outstanding tags
@@ -374,6 +448,51 @@ TEST_P(EquivalenceFuzz, RandomConfigsStayBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceFuzz,
                          ::testing::Values(1ull, 2ull, 3ull, 5ull, 8ull, 13ull,
                                            21ull, 34ull, 55ull, 89ull));
+
+// ------------------------------------------- outputs pinned to a golden file
+// One FNV-1a hash per run fingerprint: 4 policies x 3 feeds x 2 engines
+// over the EngineGrid trace, plus System::run / run_event at 4 nodes. A
+// change that alters an output under both engines alike passes every
+// strict-vs-event test above but fails here. The fingerprints include
+// telemetry compiled out under -DMAC3D_OBS=OFF, so that build has no
+// golden to compare against.
+TEST(GoldenFingerprints, MatchRecordedHashes) {
+  if (!MAC3D_OBS_ENABLED) {
+    GTEST_SKIP() << "golden hashes cover telemetry; MAC3D_OBS is OFF";
+  }
+  std::map<std::string, std::string> expected;
+  std::ifstream file(MAC3D_GOLDEN_FILE);
+  ASSERT_TRUE(file.good()) << MAC3D_GOLDEN_FILE;
+  for (std::string line; std::getline(file, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string name;
+    std::string hash;
+    fields >> name >> hash;
+    expected[name] = hash;
+  }
+
+  std::map<std::string, std::string> actual;
+  SimConfig config;
+  const MemoryTrace trace = locality_trace(0.6, 8, 300, 17);
+  for (const GridCase& c : grid_cases()) {
+    for (const Engine engine : {Engine::kSerial, Engine::kEvent}) {
+      DriveOptions options;
+      options.mode = c.mode;
+      options.engine = engine;
+      const std::string name = std::string(c.path) + mode_name(c.mode) +
+                               (engine == Engine::kSerial ? "serial" : "event");
+      actual[name] =
+          fnv1a_hex(run_fingerprint(c.path, trace, config, 8, options));
+    }
+  }
+  actual["system_serial"] = fnv1a_hex(system_fingerprint(false));
+  actual["system_event"] = fnv1a_hex(system_fingerprint(true));
+
+  std::string listing;
+  for (const auto& [name, hash] : actual) listing += name + " " + hash + "\n";
+  EXPECT_EQ(expected, actual) << "recomputed hashes:\n" << listing;
+}
 
 }  // namespace
 }  // namespace mac3d

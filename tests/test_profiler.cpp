@@ -300,6 +300,34 @@ TEST(HostProfiler, PhaseScopesAccumulate) {
   EXPECT_NE(json.find("\"sampler\""), std::string::npos);
 }
 
+// Drain is tick work: with only a host profiler attached there is no census
+// work to time, so neither run owner may book any telemetry seconds.
+TEST(HostProfiler, ProfilerAloneBooksNoTelemetry) {
+  const MemoryTrace trace = small_trace(4, 200);
+  SimConfig config;
+  HostProfiler driver_profiler;
+  DriveOptions options;
+  options.profiler = &driver_profiler;
+  const DriverResult result =
+      run_policy(CoalescerPolicy::kMac, trace, config, 4, options);
+  EXPECT_GT(result.completions, 0u);
+  EXPECT_EQ(driver_profiler.phase_seconds(HostPhase::kTelemetry), 0.0);
+
+  SimConfig system_config;
+  system_config.nodes = 2;
+  system_config.cores = 2;
+  System system(system_config);
+  system.attach_trace(trace);
+  HostProfiler system_profiler;
+  system.attach_profiler(&system_profiler);
+  EXPECT_TRUE(system.run_event().completed);
+  EXPECT_EQ(system_profiler.phase_seconds(HostPhase::kTelemetry), 0.0);
+#if MAC3D_OBS_ENABLED
+  EXPECT_GT(driver_profiler.phase_seconds(HostPhase::kTick), 0.0);
+  EXPECT_GT(system_profiler.phase_seconds(HostPhase::kTick), 0.0);
+#endif
+}
+
 // -------------------------------------------- engine equivalence & inertness
 
 TEST(ProfilerEquivalence, CensusExportsAreByteIdenticalAcrossEngines) {

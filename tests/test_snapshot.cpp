@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "arch/system.hpp"
@@ -177,6 +178,7 @@ MemoryTrace locality_trace(double locality, std::uint32_t threads,
   return trace;
 }
 
+#if MAC3D_OBS_ENABLED
 std::string driver_stream(CoalescerPolicy policy, Engine engine,
                           const MemoryTrace& trace, const SimConfig& config) {
   SnapshotStreamer snapshot(64);
@@ -193,7 +195,6 @@ std::string driver_stream(CoalescerPolicy policy, Engine engine,
   return snapshot.str();
 }
 
-#if MAC3D_OBS_ENABLED
 TEST(SnapshotEquivalence, DriverStreamByteIdenticalAcrossEngines) {
   const MemoryTrace trace = locality_trace(0.6, 4, 250, 20260808);
   SimConfig config;
@@ -233,7 +234,12 @@ TEST(SnapshotEquivalence, SystemStreamByteIdenticalAcrossEngines) {
 
 // ---- Livelock fault + watchdog end-to-end ----------------------------------
 
-TEST(SnapshotWatchdog, FiresOnInjectedLivelock) {
+// Every feed under both engines: the watchdog is the only exit a
+// livelocked run has, whichever feed stalls and however the clock moves.
+class SnapshotWatchdogLivelock
+    : public ::testing::TestWithParam<std::tuple<FeedMode, Engine>> {};
+
+TEST_P(SnapshotWatchdogLivelock, FiresOnInjectedLivelock) {
   const MemoryTrace trace = locality_trace(0.6, 2, 200, 11);
   SimConfig config;
   config.validate();
@@ -241,6 +247,8 @@ TEST(SnapshotWatchdog, FiresOnInjectedLivelock) {
   StallWatchdog dog(3);
   snapshot.attach_watchdog(&dog);
   DriveOptions options;
+  options.mode = std::get<0>(GetParam());
+  options.engine = std::get<1>(GetParam());
   options.snapshot = &snapshot;
   options.inject_livelock_at = 200;  // stop draining completions here
   const DriverResult result =
@@ -250,6 +258,21 @@ TEST(SnapshotWatchdog, FiresOnInjectedLivelock) {
   EXPECT_LT(result.completions, result.raw_requests);
   EXPECT_NE(snapshot.str().find("\"watchdog\":\"fired\""), std::string::npos);
 }
+
+std::string livelock_case_name(
+    const ::testing::TestParamInfo<std::tuple<FeedMode, Engine>>& info) {
+  const char* feeds[] = {"streaming", "closedloop", "lanegroup"};
+  return std::string(feeds[static_cast<int>(std::get<0>(info.param))]) +
+         (std::get<1>(info.param) == Engine::kSerial ? "_serial" : "_event");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FeedsAndEngines, SnapshotWatchdogLivelock,
+    ::testing::Combine(::testing::Values(FeedMode::kStreaming,
+                                         FeedMode::kClosedLoop,
+                                         FeedMode::kLaneGroup),
+                       ::testing::Values(Engine::kSerial, Engine::kEvent)),
+    livelock_case_name);
 
 TEST(SnapshotWatchdog, SilentOnCleanRun) {
   const MemoryTrace trace = locality_trace(0.6, 2, 200, 11);
