@@ -167,16 +167,28 @@ void usage() {
 
 /// Strict numeric option value: all of `text` must be one decimal number
 /// that fits `T` (no sign on integers, no trailing text, no overflow); a
-/// floating-point value must also be finite and positive.
+/// floating-point value must also be finite and positive, or zero when
+/// `allow_zero`.
 template <typename T>
-bool parse_number(const char* text, T& out) {
+bool parse_number(const char* text, T& out, bool allow_zero = false) {
   const char* end = text + std::strlen(text);
   const auto [ptr, ec] = std::from_chars(text, end, out);
   if (ec != std::errc() || ptr != end) return false;
   if constexpr (std::is_floating_point_v<T>) {
-    return std::isfinite(out) && out > 0.0;
+    return std::isfinite(out) && (out > 0.0 || (allow_zero && out == 0.0));
   }
   return true;
+}
+
+/// `--tolerance PCT` (report-diff, analyze): a finite percentage >= 0,
+/// where 0 demands exact equality. Anything else exits 2.
+double tolerance_value(const char* text) {
+  double pct = 0.0;
+  if (!parse_number(text, pct, /*allow_zero=*/true)) {
+    std::fprintf(stderr, "bad value '%s' for --tolerance\n", text);
+    std::exit(2);
+  }
+  return pct;
 }
 
 std::optional<CliOptions> parse(int argc, char** argv) {
@@ -924,7 +936,7 @@ int cmd_report_diff(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--tolerance") {
-      diff.tolerance_pct = std::atof(value());
+      diff.tolerance_pct = tolerance_value(value());
     } else if (arg == "--ignore") {
       diff.ignore.emplace_back(value());
     } else if (arg == "--allow-missing") {
@@ -969,7 +981,7 @@ int cmd_analyze(int argc, char** argv) {
     } else if (arg == "--json") {
       json_out = value();
     } else if (arg == "--tolerance") {
-      analysis.tolerance_pct = std::atof(value());
+      analysis.tolerance_pct = tolerance_value(value());
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return 2;

@@ -1,6 +1,6 @@
 // Component microbenchmarks (google-benchmark): throughput of the hot
 // simulator paths — FLIT map/table operations, ARQ comparator insert,
-// full MAC cycles, HMC device submission, cache accesses.
+// full MAC cycles, HMC device submission and drain, cache accesses.
 #include <benchmark/benchmark.h>
 
 #include "cache/cache.hpp"
@@ -94,6 +94,50 @@ void BM_HmcSubmit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HmcSubmit);
+
+/// drain() with nothing due: the per-visited-cycle cost of a device whose
+/// responses are all still on their way (the common case).
+void BM_HmcDrainIdle(benchmark::State& state) {
+  SimConfig config;
+  HmcDevice device(config);
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    HmcRequest request;
+    request.id = i + 1;
+    request.addr = static_cast<Address>(i) * config.row_bytes;
+    device.submit(std::move(request), 0);
+  }
+  const Cycle now = device.next_completion() - 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(device.drain(now).size());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HmcDrainIdle);
+
+/// A steady submit+drain stream of 16 B packets over every link: one
+/// submit per cycle, each cycle draining what came due (about one
+/// response). Items are responses drained.
+void BM_HmcDrainDue(benchmark::State& state) {
+  SimConfig config;
+  HmcDevice device(config);
+  Xoshiro256 rng(5);
+  Cycle now = 0;
+  TransactionId id = 1;
+  std::uint64_t responses = 0;
+  for (auto _ : state) {
+    HmcRequest request;
+    request.id = id++;
+    request.addr = rng.below(config.hmc_capacity) & ~0xFULL;
+    request.targets.push_back(Target{0, static_cast<Tag>(id), 0});
+    if (device.can_accept(request, now)) {
+      device.submit(std::move(request), now);
+    }
+    responses += device.drain(now).size();
+    ++now;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(responses));
+}
+BENCHMARK(BM_HmcDrainDue);
 
 void BM_CacheAccess(benchmark::State& state) {
   Cache cache(CacheConfig{"L1", 32 * 1024, 64, 8, true});

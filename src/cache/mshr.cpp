@@ -196,9 +196,10 @@ void MshrCoalescer::tick(Cycle now) {
   ++stats_.packets_out;
 }
 
-std::vector<CompletedAccess> MshrCoalescer::drain(Cycle now) {
-  std::vector<CompletedAccess> out;
-  out.swap(ready_completions_);
+const std::vector<CompletedAccess>& MshrCoalescer::drain(Cycle now) {
+  std::vector<CompletedAccess>& out = drained_;
+  out.assign(ready_completions_.begin(), ready_completions_.end());
+  ready_completions_.clear();
 
   for (const HmcResponse& response : device_.drain(now)) {
     const auto flight = in_flight_.find(response.id);

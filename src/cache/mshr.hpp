@@ -59,7 +59,9 @@ class MshrCoalescer {
   [[nodiscard]] bool try_accept(const RawRequest& request, Cycle now);
   void accept(const RawRequest& request, Cycle now);
   void tick(Cycle now);
-  std::vector<CompletedAccess> drain(Cycle now);
+  /// Completions available at or before `now` (MacCoalescer::drain's
+  /// contract: valid until the next drain() on this object).
+  const std::vector<CompletedAccess>& drain(Cycle now);
   [[nodiscard]] bool idle() const noexcept;
   [[nodiscard]] Cycle next_event(Cycle now) const noexcept;
 
@@ -145,6 +147,7 @@ class MshrCoalescer {
   Cycle merge_port_used_at_ = ~Cycle{0};
   Cycle alloc_port_used_at_ = ~Cycle{0};
   std::vector<CompletedAccess> ready_completions_;
+  std::vector<CompletedAccess> drained_;  ///< drain()'s result, reused
   TransactionId next_txn_ = 1;
   Cycle last_cycle_ = 0;
   Cycle last_work_ = ~Cycle{0};  ///< census slot (MAC3D_OBS_ACTIVITY)

@@ -13,15 +13,36 @@
 namespace mac3d {
 namespace {
 
-std::uint64_t parse_u64(const std::string& key, const std::string& value) {
+/// An unsigned integer (decimal, 0x hex or 0 octal) that fits `max`. A
+/// sign, surrounding text or an overflow throws a ConfigError naming `key`
+/// (std::stoull alone would wrap "-1" and skip leading blanks).
+std::uint64_t parse_unsigned(const std::string& key, const std::string& value,
+                             std::uint64_t max) {
+  std::uint64_t parsed = 0;
   try {
+    if (value.empty() || value.front() < '0' || value.front() > '9') {
+      throw std::invalid_argument(value);
+    }
     std::size_t pos = 0;
-    const std::uint64_t parsed = std::stoull(value, &pos, 0);
+    parsed = std::stoull(value, &pos, 0);
     if (pos != value.size()) throw std::invalid_argument(value);
-    return parsed;
   } catch (const std::exception&) {
     throw ConfigError("invalid integer for " + key + ": '" + value + "'");
   }
+  if (parsed > max) {
+    throw ConfigError("value for " + key + " out of range: '" + value +
+                      "' (max " + std::to_string(max) + ")");
+  }
+  return parsed;
+}
+
+std::uint64_t parse_u64(const std::string& key, const std::string& value) {
+  return parse_unsigned(key, value, ~std::uint64_t{0});
+}
+
+std::uint32_t parse_u32(const std::string& key, const std::string& value) {
+  return static_cast<std::uint32_t>(
+      parse_unsigned(key, value, ~std::uint32_t{0}));
 }
 
 double parse_f64(const std::string& key, const std::string& value) {
@@ -75,8 +96,8 @@ std::vector<std::pair<std::uint32_t, CoalescerPolicy>> parse_node_policies(
       throw ConfigError("invalid node_policies entry '" + entry +
                         "' (want <node>:<raw|mac|mshr|warp>)");
     }
-    const std::uint32_t node = static_cast<std::uint32_t>(
-        parse_u64("node_policies", entry.substr(0, colon)));
+    const std::uint32_t node =
+        parse_u32("node_policies", entry.substr(0, colon));
     CoalescerPolicy policy = CoalescerPolicy::kMac;
     if (!parse_policy(entry.substr(colon + 1), policy)) {
       throw ConfigError("invalid policy in node_policies entry '" + entry +
@@ -174,158 +195,90 @@ void SimConfig::validate() const {
 
 void SimConfig::parse_overrides(
     const std::map<std::string, std::string>& kv) {
-  const std::map<std::string, std::function<void(const std::string&)>>
-      setters = {
-          {"cores", [&](const std::string& v) {
-             cores = static_cast<std::uint32_t>(parse_u64("cores", v));
-           }},
-          {"cpu_ghz", [&](const std::string& v) {
-             cpu_ghz = parse_f64("cpu_ghz", v);
-           }},
-          {"spm_bytes", [&](const std::string& v) {
-             spm_bytes = parse_u64("spm_bytes", v);
-           }},
-          {"spm_latency_ns", [&](const std::string& v) {
-             spm_latency_ns = parse_f64("spm_latency_ns", v);
-           }},
-          {"nodes", [&](const std::string& v) {
-             nodes = static_cast<std::uint32_t>(parse_u64("nodes", v));
-           }},
-          {"hmc_links", [&](const std::string& v) {
-             hmc_links = static_cast<std::uint32_t>(parse_u64("hmc_links", v));
-           }},
-          {"hmc_capacity", [&](const std::string& v) {
-             hmc_capacity = parse_u64("hmc_capacity", v);
-           }},
-          {"row_bytes", [&](const std::string& v) {
-             row_bytes = static_cast<std::uint32_t>(parse_u64("row_bytes", v));
-             builder_max_bytes = row_bytes;
-           }},
-          {"vaults", [&](const std::string& v) {
-             vaults = static_cast<std::uint32_t>(parse_u64("vaults", v));
-           }},
-          {"banks_per_vault", [&](const std::string& v) {
-             banks_per_vault =
-                 static_cast<std::uint32_t>(parse_u64("banks_per_vault", v));
-           }},
-          {"vault_queue_depth", [&](const std::string& v) {
-             vault_queue_depth =
-                 static_cast<std::uint32_t>(parse_u64("vault_queue_depth", v));
-           }},
-          {"link_queue_depth", [&](const std::string& v) {
-             link_queue_depth =
-                 static_cast<std::uint32_t>(parse_u64("link_queue_depth", v));
-           }},
-          {"t_link_flit", [&](const std::string& v) {
-             t_link_flit =
-                 static_cast<std::uint32_t>(parse_u64("t_link_flit", v));
-           }},
-          {"t_serdes", [&](const std::string& v) {
-             t_serdes = static_cast<std::uint32_t>(parse_u64("t_serdes", v));
-           }},
-          {"t_vault_ctrl", [&](const std::string& v) {
-             t_vault_ctrl =
-                 static_cast<std::uint32_t>(parse_u64("t_vault_ctrl", v));
-           }},
-          {"t_bank_access", [&](const std::string& v) {
-             t_bank_access =
-                 static_cast<std::uint32_t>(parse_u64("t_bank_access", v));
-           }},
-          {"t_bank_precharge", [&](const std::string& v) {
-             t_bank_precharge =
-                 static_cast<std::uint32_t>(parse_u64("t_bank_precharge", v));
-           }},
-          {"t_row_data_flit", [&](const std::string& v) {
-             t_row_data_flit =
-                 static_cast<std::uint32_t>(parse_u64("t_row_data_flit", v));
-           }},
-          {"t_refi", [&](const std::string& v) {
-             t_refi = static_cast<std::uint32_t>(parse_u64("t_refi", v));
-           }},
-          {"t_rfc", [&](const std::string& v) {
-             t_rfc = static_cast<std::uint32_t>(parse_u64("t_rfc", v));
-           }},
-          {"open_page", [&](const std::string& v) {
-             open_page = parse_bool("open_page", v);
-           }},
-          {"t_bank_activate", [&](const std::string& v) {
-             t_bank_activate =
-                 static_cast<std::uint32_t>(parse_u64("t_bank_activate", v));
-           }},
-          {"t_bank_cas", [&](const std::string& v) {
-             t_bank_cas =
-                 static_cast<std::uint32_t>(parse_u64("t_bank_cas", v));
-           }},
-          {"arq_entries", [&](const std::string& v) {
-             arq_entries =
-                 static_cast<std::uint32_t>(parse_u64("arq_entries", v));
-           }},
-          {"arq_entry_bytes", [&](const std::string& v) {
-             arq_entry_bytes =
-                 static_cast<std::uint32_t>(parse_u64("arq_entry_bytes", v));
-           }},
-          {"arq_pop_interval", [&](const std::string& v) {
-             arq_pop_interval =
-                 static_cast<std::uint32_t>(parse_u64("arq_pop_interval", v));
-           }},
-          {"builder_min_bytes", [&](const std::string& v) {
-             builder_min_bytes =
-                 static_cast<std::uint32_t>(parse_u64("builder_min_bytes", v));
-           }},
-          {"fill_fast_enabled", [&](const std::string& v) {
-             fill_fast_enabled = parse_bool("fill_fast_enabled", v);
-           }},
-          {"mac_enabled", [&](const std::string& v) {
-             mac_enabled = parse_bool("mac_enabled", v);
-           }},
-          {"policy", [&](const std::string& v) {
-             policy = parse_policy_value("policy", v);
-           }},
-          {"node_policies", [&](const std::string& v) {
-             // Parse eagerly so malformed strings fail at the override
-             // site; quotes are stripped like parse_policy_value.
-             std::string text = v;
-             if (text.size() >= 2 && text.front() == '"' &&
-                 text.back() == '"') {
-               text = text.substr(1, text.size() - 2);
-             }
-             (void)parse_node_policies(text);
-             node_policies = text;
-           }},
-          {"mshr_entries", [&](const std::string& v) {
-             mshr_entries =
-                 static_cast<std::uint32_t>(parse_u64("mshr_entries", v));
-           }},
-          {"mshr_block_bytes", [&](const std::string& v) {
-             mshr_block_bytes =
-                 static_cast<std::uint32_t>(parse_u64("mshr_block_bytes", v));
-           }},
-          {"warp_lanes", [&](const std::string& v) {
-             warp_lanes =
-                 static_cast<std::uint32_t>(parse_u64("warp_lanes", v));
-           }},
-          {"warp_block_bytes", [&](const std::string& v) {
-             warp_block_bytes =
-                 static_cast<std::uint32_t>(parse_u64("warp_block_bytes", v));
-           }},
-          {"warp_window_cycles", [&](const std::string& v) {
-             warp_window_cycles = static_cast<std::uint32_t>(
-                 parse_u64("warp_window_cycles", v));
-           }},
-          {"remote_hop_cycles", [&](const std::string& v) {
-             remote_hop_cycles =
-                 static_cast<std::uint32_t>(parse_u64("remote_hop_cycles", v));
-           }},
-          {"queue_depth", [&](const std::string& v) {
-             queue_depth =
-                 static_cast<std::uint32_t>(parse_u64("queue_depth", v));
-           }},
-      };
+  using Setter =
+      std::function<void(const std::string& key, const std::string& value)>;
+  auto u32 = [](std::uint32_t& field) -> Setter {
+    return [&field](const std::string& key, const std::string& value) {
+      field = parse_u32(key, value);
+    };
+  };
+  auto u64 = [](std::uint64_t& field) -> Setter {
+    return [&field](const std::string& key, const std::string& value) {
+      field = parse_u64(key, value);
+    };
+  };
+  auto f64 = [](double& field) -> Setter {
+    return [&field](const std::string& key, const std::string& value) {
+      field = parse_f64(key, value);
+    };
+  };
+  auto flag = [](bool& field) -> Setter {
+    return [&field](const std::string& key, const std::string& value) {
+      field = parse_bool(key, value);
+    };
+  };
+  const std::map<std::string, Setter> setters = {
+      {"cores", u32(cores)},
+      {"cpu_ghz", f64(cpu_ghz)},
+      {"spm_bytes", u64(spm_bytes)},
+      {"spm_latency_ns", f64(spm_latency_ns)},
+      {"nodes", u32(nodes)},
+      {"hmc_links", u32(hmc_links)},
+      {"hmc_capacity", u64(hmc_capacity)},
+      {"row_bytes",
+       [this](const std::string& key, const std::string& value) {
+         row_bytes = parse_u32(key, value);
+         builder_max_bytes = row_bytes;
+       }},
+      {"vaults", u32(vaults)},
+      {"banks_per_vault", u32(banks_per_vault)},
+      {"vault_queue_depth", u32(vault_queue_depth)},
+      {"link_queue_depth", u32(link_queue_depth)},
+      {"t_link_flit", u32(t_link_flit)},
+      {"t_serdes", u32(t_serdes)},
+      {"t_vault_ctrl", u32(t_vault_ctrl)},
+      {"t_bank_access", u32(t_bank_access)},
+      {"t_bank_precharge", u32(t_bank_precharge)},
+      {"t_row_data_flit", u32(t_row_data_flit)},
+      {"t_refi", u32(t_refi)},
+      {"t_rfc", u32(t_rfc)},
+      {"open_page", flag(open_page)},
+      {"t_bank_activate", u32(t_bank_activate)},
+      {"t_bank_cas", u32(t_bank_cas)},
+      {"arq_entries", u32(arq_entries)},
+      {"arq_entry_bytes", u32(arq_entry_bytes)},
+      {"arq_pop_interval", u32(arq_pop_interval)},
+      {"builder_min_bytes", u32(builder_min_bytes)},
+      {"fill_fast_enabled", flag(fill_fast_enabled)},
+      {"mac_enabled", flag(mac_enabled)},
+      {"policy",
+       [this](const std::string& key, const std::string& value) {
+         policy = parse_policy_value(key, value);
+       }},
+      {"node_policies",
+       [this](const std::string&, const std::string& value) {
+         // Parse eagerly so malformed strings fail at the override site;
+         // quotes are stripped like parse_policy_value.
+         std::string text = value;
+         if (text.size() >= 2 && text.front() == '"' && text.back() == '"') {
+           text = text.substr(1, text.size() - 2);
+         }
+         (void)parse_node_policies(text);
+         node_policies = text;
+       }},
+      {"mshr_entries", u32(mshr_entries)},
+      {"mshr_block_bytes", u32(mshr_block_bytes)},
+      {"warp_lanes", u32(warp_lanes)},
+      {"warp_block_bytes", u32(warp_block_bytes)},
+      {"warp_window_cycles", u32(warp_window_cycles)},
+      {"remote_hop_cycles", u32(remote_hop_cycles)},
+      {"queue_depth", u32(queue_depth)},
+  };
 
   for (const auto& [key, value] : kv) {
     const auto it = setters.find(key);
     if (it == setters.end()) throw ConfigError("unknown config key: " + key);
-    it->second(value);
+    it->second(key, value);
   }
 }
 

@@ -225,12 +225,13 @@ void MacCoalescer::tick(Cycle now) {
   issue_stage(now);
 }
 
-std::vector<CompletedAccess> MacCoalescer::drain(Cycle now) {
-  std::vector<CompletedAccess> out;
+const std::vector<CompletedAccess>& MacCoalescer::drain(Cycle now) {
+  std::vector<CompletedAccess>& out = drained_;
   // Fence retirements (and any buffered completions) first.
-  out.swap(ready_completions_);
+  out.assign(ready_completions_.begin(), ready_completions_.end());
+  ready_completions_.clear();
 
-  for (HmcResponse& response : device_.drain(now)) {
+  for (const HmcResponse& response : device_.drain(now)) {
     assert(outstanding_ > 0);
     --outstanding_;
     for (const Target& target : response.targets) {

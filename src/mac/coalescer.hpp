@@ -92,8 +92,9 @@ class MacCoalescer {
   void tick(Cycle now);
 
   /// Completions (de-coalesced raw requests and retired fences) available
-  /// at or before `now`.
-  std::vector<CompletedAccess> drain(Cycle now);
+  /// at or before `now`. The result lives in a coalescer-owned buffer: it
+  /// stays valid until the next drain() on this object.
+  const std::vector<CompletedAccess>& drain(Cycle now);
 
   /// True when no work is buffered anywhere in the MAC or the device.
   [[nodiscard]] bool idle() const noexcept;
@@ -216,6 +217,7 @@ class MacCoalescer {
   RequestBuilder builder_;
   RingQueue<IssueItem> issue_queue_;
   std::vector<CompletedAccess> ready_completions_;
+  std::vector<CompletedAccess> drained_;  ///< drain()'s result, reused
   FlatCycleMap accept_cycle_;
   Cycle next_pop_at_ = 0;
   Cycle last_tick_ = 0;

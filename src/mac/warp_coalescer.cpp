@@ -202,9 +202,10 @@ void WarpCoalescer::tick(Cycle now) {
   if (unserved() > 0) (void)issue_iteration(now);
 }
 
-std::vector<CompletedAccess> WarpCoalescer::drain(Cycle now) {
-  std::vector<CompletedAccess> out;
-  out.swap(ready_);
+const std::vector<CompletedAccess>& WarpCoalescer::drain(Cycle now) {
+  std::vector<CompletedAccess>& out = drained_;
+  out.assign(ready_.begin(), ready_.end());
+  ready_.clear();
   for (const HmcResponse& response : device_.drain(now)) {
     --outstanding_;
     for (const Target& target : response.targets) {

@@ -75,7 +75,9 @@ class WarpCoalescer {
   /// window when one is ready, then run one coalescing iteration.
   void tick(Cycle now);
 
-  std::vector<CompletedAccess> drain(Cycle now);
+  /// Completions available at or before `now` (MacCoalescer::drain's
+  /// contract: valid until the next drain() on this object).
+  const std::vector<CompletedAccess>& drain(Cycle now);
 
   [[nodiscard]] bool idle() const noexcept {
     return pending_.empty() && window_.empty() && outstanding_ == 0 &&
@@ -176,6 +178,7 @@ class WarpCoalescer {
   std::size_t window_served_ = 0;
   FlatCycleMap accept_cycle_;
   std::vector<CompletedAccess> ready_;
+  std::vector<CompletedAccess> drained_;  ///< drain()'s result, reused
   std::uint64_t outstanding_ = 0;
   TransactionId next_txn_ = 1;
   Cycle last_cycle_ = 0;

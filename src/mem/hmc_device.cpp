@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <tuple>
 
 #include "check/hmc_checks.hpp"
 #include "obs/obs.hpp"
@@ -31,6 +32,7 @@ HmcDevice::HmcDevice(const SimConfig& config, NodeId node)
       vaults_per_link_(config.vaults / config.hmc_links),
       banks_(config.total_banks()),
       links_(config.hmc_links, Link(config.t_link_flit)),
+      pending_(config.hmc_links),
       vault_busy_until_(config.vaults, 0) {
   config_.validate();
   if (config_.t_refi != 0) {
@@ -178,17 +180,39 @@ Cycle HmcDevice::submit(HmcRequest request, Cycle now) {
   response.write = request.write;
   response.completed = completed;
   response.targets = std::move(request.targets);
-  pending_.push(std::move(response));
+  RingQueue<HmcResponse>& fifo = pending_[link_of(vault)];
+  assert(fifo.empty() || fifo.at(fifo.size() - 1).completed < completed);
+  fifo.push_back(std::move(response));
+  ++in_flight_;
+  if (earliest_ == 0 || completed < earliest_) earliest_ = completed;
   return completed;
 }
 
-std::vector<HmcResponse> HmcDevice::drain(Cycle now) {
-  std::vector<HmcResponse> done;
-  while (!pending_.empty() && pending_.top().completed <= now) {
-    done.push_back(pending_.top());
-    pending_.pop();
+void HmcDevice::merge_due(Cycle now) {
+  // Each FIFO is sorted, so taking the smallest due head by (completed,
+  // id) until none is due yields every due response in that global order.
+  for (;;) {
+    RingQueue<HmcResponse>* next = nullptr;
+    for (RingQueue<HmcResponse>& fifo : pending_) {
+      if (fifo.empty() || fifo.front().completed > now) continue;
+      const HmcResponse& head = fifo.front();
+      if (next == nullptr ||
+          std::tie(head.completed, head.id) <
+              std::tie(next->front().completed, next->front().id)) {
+        next = &fifo;
+      }
+    }
+    if (next == nullptr) break;
+    drained_.push_back(std::move(next->front()));
+    next->pop_front();
   }
-  return done;
+  in_flight_ -= drained_.size();
+  earliest_ = 0;
+  for (const RingQueue<HmcResponse>& fifo : pending_) {
+    if (fifo.empty()) continue;
+    const Cycle head = fifo.front().completed;
+    if (earliest_ == 0 || head < earliest_) earliest_ = head;
+  }
 }
 
 double HmcDevice::banks_busy_fraction(Cycle now) const noexcept {
@@ -226,7 +250,10 @@ void HmcDevice::reset() {
   for (Link& link : links_) link.reset();
   std::fill(vault_busy_until_.begin(), vault_busy_until_.end(), Cycle{0});
   banks_busy_until_ = 0;
-  pending_ = {};
+  for (RingQueue<HmcResponse>& fifo : pending_) fifo.clear();
+  in_flight_ = 0;
+  earliest_ = 0;
+  drained_.clear();
   stats_ = {};
   fault_ = Fault::kNone;
   if (checks_ != nullptr) attach_checks(checks_);  // clear bank history

@@ -12,11 +12,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/ring_queue.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "mem/address_map.hpp"
@@ -73,20 +73,22 @@ class HmcDevice {
   /// The response is retrievable via drain() once `now >= completion`.
   Cycle submit(HmcRequest request, Cycle now);
 
-  /// Pop all responses completed at or before `now` (completion order).
-  std::vector<HmcResponse> drain(Cycle now);
+  /// Pop all responses completed at or before `now`, in (completed, id)
+  /// order. The result lives in a device-owned buffer: it stays valid
+  /// until the next drain() or reset() on this device.
+  const std::vector<HmcResponse>& drain(Cycle now) {
+    drained_.clear();
+    if (earliest_ != 0 && earliest_ <= now) merge_due(now);
+    return drained_;
+  }
 
   /// True when no undelivered response remains.
-  [[nodiscard]] bool idle() const noexcept { return pending_.empty(); }
+  [[nodiscard]] bool idle() const noexcept { return in_flight_ == 0; }
 
   /// Earliest completion among in-flight transactions (0 when idle).
-  [[nodiscard]] Cycle next_completion() const noexcept {
-    return pending_.empty() ? 0 : pending_.top().completed;
-  }
+  [[nodiscard]] Cycle next_completion() const noexcept { return earliest_; }
 
-  [[nodiscard]] std::size_t in_flight() const noexcept {
-    return pending_.size();
-  }
+  [[nodiscard]] std::size_t in_flight() const noexcept { return in_flight_; }
 
   [[nodiscard]] const HmcStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const AddressMap& address_map() const noexcept { return map_; }
@@ -200,12 +202,9 @@ class HmcDevice {
   void attach_sink(EventSink* sink) noexcept { sink_ = sink; }
 
  private:
-  struct PendingGreater {
-    bool operator()(const HmcResponse& a, const HmcResponse& b) const {
-      return a.completed > b.completed || (a.completed == b.completed &&
-                                           a.id > b.id);
-    }
-  };
+  /// Move every response due at `now` into drained_, merging the link
+  /// FIFO heads by (completed, id), and recompute earliest_.
+  void merge_due(Cycle now);
 
   [[nodiscard]] std::uint32_t link_of(std::uint32_t vault) const noexcept {
     return vault / vaults_per_link_;
@@ -217,8 +216,13 @@ class HmcDevice {
   std::uint32_t vaults_per_link_;
   std::vector<Bank> banks_;  ///< flat [vault][bank]
   std::vector<Link> links_;
-  std::priority_queue<HmcResponse, std::vector<HmcResponse>, PendingGreater>
-      pending_;
+  // Responses leave each link serialized, so with t_link_flit >= 1 a
+  // link's completions strictly increase in submit order: one FIFO per
+  // link is already sorted, and drain() merges the heads.
+  std::vector<RingQueue<HmcResponse>> pending_;  ///< per link
+  std::size_t in_flight_ = 0;
+  Cycle earliest_ = 0;  ///< min head completion (0 = nothing in flight)
+  std::vector<HmcResponse> drained_;  ///< drain()'s result, reused
   HmcStats stats_;
   CheckContext* checks_ = nullptr;
   EventSink* sink_ = nullptr;

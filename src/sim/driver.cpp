@@ -1,6 +1,7 @@
 #include "sim/driver.hpp"
 
 #include <algorithm>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -46,22 +47,30 @@ namespace {
   return wake == kNoActivity ? at : std::min(wake, at);
 }
 
+/// Thread `t`'s round-robin successor among `threads`.
+[[nodiscard]] std::uint32_t next_thread(std::uint32_t t,
+                                        std::uint32_t threads) {
+  return t + 1 == threads ? 0 : t + 1;
+}
+
 /// A feed's port into the memory path: what all three driver feeds share.
 template <typename Path>
 struct PathPort {
   Path& path;
-  const MemoryTrace& trace;
   const SimConfig& config;
   const DriveOptions& options;
   ActivityCensus* census;  ///< the clock's gated census (feeder marks)
-  std::uint32_t threads;  ///< trace streams fed (<= trace.threads())
+  std::uint32_t threads;  ///< trace streams fed (<= the trace's threads)
   std::uint64_t records_left = 0;  ///< records not yet accepted
   std::uint64_t outstanding = 0;   ///< accepted, not yet completed
   Cycle makespan = 0;              ///< cycle of the last completion
   std::uint64_t completions = 0;   ///< data records + retired fences
+  std::vector<std::span<const MemRecord>> streams{};  ///< per fed thread
 
-  [[nodiscard]] const std::vector<MemRecord>& records(std::uint32_t t) const {
-    return trace.thread(static_cast<ThreadId>(t));
+  /// Thread `t`'s record stream (t < threads).
+  [[nodiscard]] const std::span<const MemRecord>& records(
+      std::uint32_t t) const {
+    return streams[t];
   }
 
   /// Present thread `t`'s `record` under `tag`. core_issue marks the first
@@ -157,8 +166,9 @@ class StreamingFeed {
     bool intake_open = port_.records_left > 0;
     while (intake_open) {
       bool found = false;
-      for (std::uint32_t scan = 0; scan < threads; ++scan) {
-        const std::uint32_t t = (turn_ + scan) % threads;
+      std::uint32_t t = turn_;
+      for (std::uint32_t scan = 0; scan < threads;
+           ++scan, t = next_thread(t, threads)) {
         Cursor& cursor = cursors_[t];
         const auto& records = port_.records(t);
         if (cursor.next >= records.size() || cursor.arrive_at > now ||
@@ -179,7 +189,7 @@ class StreamingFeed {
         if (cursor.next < records.size() && port_.options.charge_gaps) {
           cursor.arrive_at += records[cursor.next].gap;
         }
-        turn_ = (t + 1) % threads;
+        turn_ = next_thread(t, threads);
         found = true;
         break;
       }
@@ -249,8 +259,9 @@ class ClosedLoopFeed {
     bool intake_open = true;
     while (port_.records_left > 0 && accepted < ports_ && intake_open) {
       bool found = false;
-      for (std::uint32_t scan = 0; scan < threads; ++scan) {
-        const std::uint32_t t = (turn_ + scan) % threads;
+      std::uint32_t t = turn_;
+      for (std::uint32_t scan = 0; scan < threads;
+           ++scan, t = next_thread(t, threads)) {
         Cursor& cursor = cursors_[t];
         if (!issuable(t, now)) continue;
         const MemRecord& record = port_.records(t)[cursor.next];
@@ -265,7 +276,7 @@ class ClosedLoopFeed {
         } else {
           ++cursor.loads;  // loads, atomics and fences all complete back
         }
-        turn_ = (t + 1) % threads;
+        turn_ = next_thread(t, threads);
         found = true;
         ++accepted;
         break;
@@ -550,10 +561,11 @@ DriverResult run_path(const MemoryTrace& trace, const SimConfig& config,
   Clock sim_clock(
       {options.census, options.sampler, options.snapshot, options.profiler},
       name, options.engine == Engine::kEvent, /*seal_census=*/true);
-  PathPort<Path> port{path, trace, config, options, sim_clock.census(),
+  PathPort<Path> port{path, config, options, sim_clock.census(),
                       std::min(threads, trace.threads())};
   for (std::uint32_t t = 0; t < port.threads; ++t) {
-    port.records_left += port.records(t).size();
+    port.streams.emplace_back(trace.thread(static_cast<ThreadId>(t)));
+    port.records_left += port.streams.back().size();
   }
   if (CycleSampler* sampler = sim_clock.sampler()) {
     // The path's two series, then the device's: a uniform column set.

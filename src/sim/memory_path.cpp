@@ -33,7 +33,7 @@ class PathAdapter final : public MemoryPath {
     path_.accept(request, now);
   }
   void tick(Cycle now) override { path_.tick(now); }
-  std::vector<CompletedAccess> drain(Cycle now) override {
+  const std::vector<CompletedAccess>& drain(Cycle now) override {
     return path_.drain(now);
   }
   [[nodiscard]] bool idle() const override { return path_.idle(); }

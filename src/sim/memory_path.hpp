@@ -38,7 +38,9 @@ class MemoryPath {
   [[nodiscard]] virtual bool can_accept() const = 0;
   virtual void accept(const RawRequest& request, Cycle now) = 0;
   virtual void tick(Cycle now) = 0;
-  virtual std::vector<CompletedAccess> drain(Cycle now) = 0;
+  /// The path's completions at or before `now`; valid until the next
+  /// drain() on this path.
+  virtual const std::vector<CompletedAccess>& drain(Cycle now) = 0;
   [[nodiscard]] virtual bool idle() const = 0;
   [[nodiscard]] virtual Cycle next_event(Cycle now) const = 0;
 

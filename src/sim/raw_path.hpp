@@ -100,9 +100,12 @@ class RawPath {
     MAC3D_OBS_ACTIVITY(last_work_, now);
   }
 
-  std::vector<CompletedAccess> drain(Cycle now) {
-    std::vector<CompletedAccess> out;
-    out.swap(ready_);
+  /// Completions available at or before `now` (MacCoalescer::drain's
+  /// contract: valid until the next drain() on this object).
+  const std::vector<CompletedAccess>& drain(Cycle now) {
+    std::vector<CompletedAccess>& out = drained_;
+    out.assign(ready_.begin(), ready_.end());
+    ready_.clear();
     for (const HmcResponse& response : device_.drain(now)) {
       --outstanding_;
       for (const Target& target : response.targets) {
@@ -224,6 +227,7 @@ class RawPath {
   RingQueue<RawRequest> queue_;
   FlatCycleMap accept_cycle_;
   std::vector<CompletedAccess> ready_;
+  std::vector<CompletedAccess> drained_;  ///< drain()'s result, reused
   std::uint64_t outstanding_ = 0;
   std::uint64_t raw_in_ = 0;
   std::uint64_t fences_in_ = 0;

@@ -361,6 +361,50 @@ TEST(Config, RejectsMalformedPair) {
   EXPECT_THROW(config.parse_override_string("cores=abc"), ConfigError);
 }
 
+/// The ConfigError message `text` raises, or "" when it parses.
+std::string override_error(const std::string& text) {
+  SimConfig config;
+  try {
+    config.parse_override_string(text);
+  } catch (const ConfigError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Config, RejectsSignedIntegers) {
+  for (const char* text : {"arq_entries=-1", "arq_entries=+32", "cores=-0",
+                           "hmc_capacity=-8589934592", "spm_bytes=+1"}) {
+    const std::string pair = text;
+    const std::string error = override_error(pair);
+    EXPECT_NE(error.find(pair.substr(0, pair.find('='))), std::string::npos)
+        << pair << ": " << error;
+  }
+}
+
+TEST(Config, RejectsIntegersThatOverflowTheirField) {
+  // 2^32 + 32 and 2^32 + 1 used to truncate silently to 32 and 1.
+  EXPECT_NE(override_error("arq_entries=4294967328").find("arq_entries"),
+            std::string::npos);
+  EXPECT_NE(override_error("t_link_flit=4294967297").find("t_link_flit"),
+            std::string::npos);
+  EXPECT_NE(override_error("node_policies=4294967296:raw").find(
+                "node_policies"),
+            std::string::npos);
+  // Past 2^64 even a 64-bit field overflows.
+  EXPECT_NE(override_error("hmc_capacity=18446744073709551616").find(
+                "hmc_capacity"),
+            std::string::npos);
+  // Each field's own maximum still parses.
+  SimConfig config;
+  config.parse_override_string("arq_entries=4294967295");
+  EXPECT_EQ(config.arq_entries, 4294967295u);
+  config.parse_override_string("hmc_capacity=18446744073709551615");
+  EXPECT_EQ(config.hmc_capacity, 18446744073709551615ull);
+  config.parse_override_string("t_link_flit=0x2");
+  EXPECT_EQ(config.t_link_flit, 2u);
+}
+
 TEST(Config, ValidateCatchesBadGeometry) {
   SimConfig config;
   config.row_bytes = 100;  // not a power of two

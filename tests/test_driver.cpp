@@ -2,6 +2,9 @@
 // comparison metrics over identical traces.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "sim/driver.hpp"
 #include "sim/metrics.hpp"
@@ -310,6 +313,45 @@ TEST(TagAllocator, PeekIsStableAcrossRejectedAttempts) {
   EXPECT_EQ(tags.peek(), static_cast<Tag>(0));
   EXPECT_EQ(tags.allocate(), static_cast<Tag>(0));
   EXPECT_EQ(tags.peek(), static_cast<Tag>(1));
+}
+
+TEST(TagAllocator, FreshTagsComeBeforeRecycledOnes) {
+  // A release while never-used tags remain queues behind them: the pool
+  // hands out 0..N-1 first, then recycled tags in release order.
+  TagAllocator tags(6);
+  EXPECT_EQ(tags.allocate(), static_cast<Tag>(0));
+  EXPECT_EQ(tags.allocate(), static_cast<Tag>(1));
+  EXPECT_EQ(tags.allocate(), static_cast<Tag>(2));
+  tags.release(1);
+  tags.release(0);
+  EXPECT_EQ(tags.peek(), static_cast<Tag>(3));
+  EXPECT_EQ(tags.allocate(), static_cast<Tag>(3));
+  tags.release(3);
+  EXPECT_EQ(tags.allocate(), static_cast<Tag>(4));
+  EXPECT_EQ(tags.allocate(), static_cast<Tag>(5));
+  EXPECT_EQ(tags.peek(), static_cast<Tag>(1));
+  EXPECT_EQ(tags.allocate(), static_cast<Tag>(1));
+  EXPECT_EQ(tags.allocate(), static_cast<Tag>(0));
+  EXPECT_EQ(tags.allocate(), static_cast<Tag>(3));
+  EXPECT_FALSE(tags.available());
+  EXPECT_EQ(tags.high_water(), 6u);
+}
+
+TEST(TagAllocator, FullSpaceYieldsEveryTagOnceBeforeExhaustion) {
+  TagAllocator tags(0);
+  std::vector<bool> seen(TagAllocator::kTagSpace, false);
+  for (std::size_t i = 0; i < TagAllocator::kTagSpace; ++i) {
+    ASSERT_TRUE(tags.available()) << i;
+    const Tag tag = tags.allocate();
+    ASSERT_FALSE(seen[tag]) << "tag " << tag << " handed out twice";
+    seen[tag] = true;
+  }
+  EXPECT_EQ(TagAllocator::kTagSpace, 65536u);
+  EXPECT_FALSE(tags.available());
+  EXPECT_EQ(tags.outstanding(), 65536u);
+  tags.release(77);
+  ASSERT_TRUE(tags.available());
+  EXPECT_EQ(tags.allocate(), static_cast<Tag>(77));
 }
 
 TEST(TagPool, TinyPoolStillCompletesEveryRequest) {

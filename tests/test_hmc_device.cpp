@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdint>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
@@ -424,6 +426,131 @@ TEST_P(BusyThresholdProperty, KeptThresholdsEqualBankScan) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BusyThresholdProperty,
+                         ::testing::Values(1ull, 7ull, 20190805ull));
+
+// ------------------------------------------------- response order property
+// The device keeps one completion-sorted FIFO per link and merges the
+// heads at drain. Against a plain reference list, every drain must return
+// exactly the (completed, id)-sorted responses due, including completion
+// ties across links.
+
+/// A random packet for `link` (any of its vaults), carrying one target
+/// that encodes `id`.
+HmcRequest packet_on_link(const HmcDevice& device, const SimConfig& config,
+                          Xoshiro256& rng, std::uint32_t link,
+                          std::uint32_t data_bytes, TransactionId id) {
+  const std::uint32_t vaults_per_link = config.vaults / config.hmc_links;
+  std::uint64_t row = 0;
+  do {
+    row = rng.below(1u << 16);
+  } while (device.address_map().vault_of(row) / vaults_per_link != link);
+  HmcRequest request;
+  request.id = id;
+  request.data_bytes = data_bytes;
+  request.addr = device.address_map().row_base(row) +
+                 rng.below(config.row_bytes / data_bytes) * data_bytes;
+  request.write = rng.below(3) == 0;
+  request.targets.push_back(Target{static_cast<ThreadId>(id % 64),
+                                   static_cast<Tag>(id), 0});
+  return request;
+}
+
+class ResponseOrderProperty
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ResponseOrderProperty, DrainEqualsSortedReference) {
+  struct Shape {
+    std::uint32_t links;
+    std::uint32_t t_link_flit;
+  };
+  for (const Shape shape : {Shape{4, 1}, Shape{1, 1}, Shape{2, 3},
+                            Shape{8, 2}}) {
+    SimConfig config;
+    config.hmc_links = shape.links;
+    config.t_link_flit = shape.t_link_flit;
+    HmcDevice device(config);
+    Xoshiro256 rng(GetParam() * 131 + shape.links * 7 + shape.t_link_flit);
+    // Unique ids in shuffled order, so an id tie-break never follows the
+    // link index or the submit order by accident.
+    std::vector<TransactionId> ids(600);
+    for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i + 1;
+    for (std::size_t i = ids.size() - 1; i > 0; --i) {
+      std::swap(ids[i], ids[rng.below(i + 1)]);
+    }
+    std::vector<std::pair<Cycle, TransactionId>> pending;  // reference
+    std::size_t next_id = 0;
+    std::size_t ties = 0;
+    Cycle now = 0;
+    auto check_pending = [&] {
+      ASSERT_EQ(device.in_flight(), pending.size());
+      ASSERT_EQ(device.idle(), pending.empty());
+      Cycle first = 0;
+      for (const auto& [completed, id] : pending) {
+        if (first == 0 || completed < first) first = completed;
+      }
+      ASSERT_EQ(device.next_completion(), first);
+    };
+    while (next_id < ids.size() || !pending.empty()) {
+      now += rng.below(4) == 0 ? rng.below(600) : rng.below(6);
+      if (next_id < ids.size() && rng.below(3) != 0) {
+        // A same-cycle burst of identical packets, one per link in random
+        // order: on idle links and banks they complete in the same cycle.
+        const bool burst = rng.below(4) == 0;
+        const std::uint32_t count = burst ? config.hmc_links : 1;
+        const std::uint32_t bytes = 16u << rng.below(5);
+        std::vector<std::uint32_t> links(config.hmc_links);
+        for (std::uint32_t l = 0; l < config.hmc_links; ++l) links[l] = l;
+        for (std::uint32_t l = config.hmc_links - 1; l > 0; --l) {
+          std::swap(links[l], links[rng.below(l + 1)]);
+        }
+        std::vector<Cycle> burst_done;
+        for (std::uint32_t k = 0; k < count && next_id < ids.size(); ++k) {
+          const TransactionId id = ids[next_id++];
+          const std::uint32_t link =
+              burst ? links[k]
+                    : static_cast<std::uint32_t>(rng.below(config.hmc_links));
+          const Cycle completed = device.submit(
+              packet_on_link(device, config, rng, link, bytes, id), now);
+          pending.emplace_back(completed, id);
+          burst_done.push_back(completed);
+        }
+        for (std::size_t k = 1; k < burst_done.size(); ++k) {
+          ties += burst_done[k] == burst_done[0] ? 1 : 0;
+        }
+      }
+      check_pending();
+      if (rng.below(3) == 0) continue;  // not every cycle drains
+      const std::vector<HmcResponse>& got = device.drain(now);
+      std::sort(pending.begin(), pending.end());
+      std::size_t due = 0;
+      while (due < pending.size() && pending[due].first <= now) ++due;
+      ASSERT_EQ(got.size(), due) << "drain at " << now;
+      for (std::size_t i = 0; i < due; ++i) {
+        ASSERT_EQ(got[i].completed, pending[i].first) << i;
+        ASSERT_EQ(got[i].id, pending[i].second) << i;
+        ASSERT_EQ(got[i].targets.size(), 1u);
+        EXPECT_EQ(got[i].targets[0].tag, static_cast<Tag>(got[i].id));
+      }
+      pending.erase(pending.begin(),
+                    pending.begin() + static_cast<std::ptrdiff_t>(due));
+      check_pending();
+    }
+    if (config.hmc_links > 1) {
+      EXPECT_GT(ties, 0u) << "no cross-link completion tie was exercised";
+    }
+    // reset() empties everything, mid-flight included.
+    const TransactionId id = ids.size() + 1;
+    device.submit(packet_on_link(device, config, rng, 0, 16, id), now);
+    ASSERT_FALSE(device.idle());
+    device.reset();
+    EXPECT_TRUE(device.idle());
+    EXPECT_EQ(device.in_flight(), 0u);
+    EXPECT_EQ(device.next_completion(), 0u);
+    EXPECT_TRUE(device.drain(~Cycle{0}).empty());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ResponseOrderProperty,
                          ::testing::Values(1ull, 7ull, 20190805ull));
 
 }  // namespace
