@@ -11,21 +11,18 @@
 //   mac3d config                             # effective Table-1 config
 //
 // Config overrides compose from MAC3D_CONFIG and repeated --set key=value.
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
-#include <system_error>
-#include <type_traits>
 #include <vector>
 
 #include "arch/system.hpp"
 #include "check/check.hpp"
+#include "common/parse_number.hpp"
 #include "lint/lint.hpp"
 #include "obs/analysis.hpp"
 #include "obs/latency.hpp"
@@ -163,21 +160,6 @@ void usage() {
                "--engine serial|event, and --jobs N for throughput\n",
                option);
   std::exit(2);
-}
-
-/// Strict numeric option value: all of `text` must be one decimal number
-/// that fits `T` (no sign on integers, no trailing text, no overflow); a
-/// floating-point value must also be finite and positive, or zero when
-/// `allow_zero`.
-template <typename T>
-bool parse_number(const char* text, T& out, bool allow_zero = false) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, out);
-  if (ec != std::errc() || ptr != end) return false;
-  if constexpr (std::is_floating_point_v<T>) {
-    return std::isfinite(out) && (out > 0.0 || (allow_zero && out == 0.0));
-  }
-  return true;
 }
 
 /// `--tolerance PCT` (report-diff, analyze): a finite percentage >= 0,

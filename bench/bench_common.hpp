@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parse_number.hpp"
 #include "common/stats.hpp"
 #include "obs/report_diff.hpp"
 #include "obs/run_report.hpp"
@@ -48,7 +49,14 @@ class Session {
       } else if (arg == "--baseline" && i + 1 < argc) {
         baseline_path_ = argv[++i];
       } else if (arg == "--tolerance" && i + 1 < argc) {
-        tolerance_pct_ = std::atof(argv[++i]);
+        // A finite percentage >= 0, as for `mac3d report-diff`: NaN
+        // would compare false against every delta and pass any diff.
+        const char* text = argv[++i];
+        if (!parse_number(text, tolerance_pct_, /*allow_zero=*/true)) {
+          std::fprintf(stderr, "%s: bad value '%s' for --tolerance\n",
+                       name_.c_str(), text);
+          std::exit(2);
+        }
       }
     }
     report_.set_string("bench", name_);

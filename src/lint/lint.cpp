@@ -12,7 +12,7 @@
 #include <tuple>
 #include <utility>
 
-#include "lint/json_doc.hpp"
+#include "common/json.hpp"
 #include "lint/lexer.hpp"
 #include "lint/rules.hpp"
 
@@ -104,30 +104,6 @@ namespace fs = std::filesystem;
   return model;
 }
 
-[[nodiscard]] std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xf];
-          out += kHex[static_cast<unsigned char>(c) & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Findings grouped per (rule, file) in sorted order, with counts.
 [[nodiscard]] std::map<std::pair<std::string, std::string>, std::uint64_t>
 group_findings(const LintReport& report) {
@@ -183,12 +159,13 @@ bool load_baseline(const std::string& file, Baseline& out,
     BaselineEntry entry;
     entry.rule = item.string_or("rule");
     entry.file = item.string_or("file");
-    entry.count = static_cast<std::uint64_t>(item.number_or("count", 1.0));
+    const JsonValue* count = item.find("count");
+    entry.count = count == nullptr ? 1 : count->as_u64().value_or(0);
     entry.justification = item.string_or("justification");
     if (entry.rule.empty() || entry.file.empty() || entry.count == 0) {
       error = "baseline '" + file +
               "': entries need nonempty 'rule', 'file' and a positive "
-              "'count'";
+              "integer 'count' (at most 2^53)";
       return false;
     }
     if (find_rule(entry.rule) == nullptr) {

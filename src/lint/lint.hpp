@@ -1,12 +1,13 @@
 // mac3d lint — repo-specific static analysis (docs/STATIC_ANALYSIS.md).
 //
-// The repo's two hardest-won guarantees — bit-identical serial/parallel
-// execution (docs/PARALLELISM.md) and zero-cost observability under
-// MAC3D_OBS=OFF (docs/OBSERVABILITY.md) — are enforced dynamically by the
-// equivalence suite and byte-diff tests, which catch a violation long
-// after the offending line lands. This subsystem makes the contracts
-// machine-checkable at review time: a lightweight tokenizer
-// (lint/lexer.hpp) feeds a rule catalog in three families —
+// The repo's two hardest-won guarantees — byte-identical output across
+// the strict and event engines and any --jobs count (docs/PARALLELISM.md)
+// and zero-cost observability under MAC3D_OBS=OFF (docs/OBSERVABILITY.md)
+// — are enforced dynamically by the equivalence suite and byte-diff
+// tests, which catch a violation long after the offending line lands.
+// This subsystem makes the contracts machine-checkable at review time: a
+// lightweight tokenizer (lint/lexer.hpp) feeds a rule catalog in three
+// families —
 //
 //   DET   determinism: no ambient randomness, wall clocks, hash-order
 //         iteration or hidden static state in simulation code;

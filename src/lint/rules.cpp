@@ -11,7 +11,7 @@
 #include <set>
 #include <sstream>
 
-#include "lint/json_doc.hpp"
+#include "common/json.hpp"
 
 namespace mac3d::lint {
 namespace {
@@ -35,7 +35,7 @@ const std::vector<RuleInfo> kCatalog = {
      "survives between simulations sharing a process"},
     {"det.unordered_iteration", "DET",
      "iterating a std::unordered_{map,set} visits hash order, which "
-     "breaks the serial/parallel bit-identity contract "
+     "breaks the strict/event and --jobs invariance contract "
      "(docs/PARALLELISM.md); iterate a sorted view or use std::map"},
     {"det.wall_clock", "DET",
      "wall-clock time sources in simulation code leak host timing into "
@@ -252,7 +252,7 @@ void det_unordered_iteration(const FileTokens& file,
                 tokens[i].col,
                 "range-for over unordered container '" + tokens[j].text +
                     "' visits hash order; iterate a sorted view or use "
-                    "std::map (serial/parallel bit-identity contract)");
+                    "std::map (strict/event and --jobs invariance contract)");
             break;
           }
         }
@@ -270,7 +270,7 @@ void det_unordered_iteration(const FileTokens& file,
                   "iterator walk over unordered container '" +
                       tokens[i].text +
                       "' visits hash order; iterate a sorted view or use "
-                      "std::map (serial/parallel bit-identity contract)");
+                      "std::map (strict/event and --jobs invariance contract)");
     }
   }
 }

@@ -4,17 +4,18 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
+#include <optional>
 #include <sstream>
 #include <string_view>
+#include <utility>
+
+#include "common/json.hpp"
 
 namespace mac3d {
 namespace {
 
 constexpr std::string_view kStreamSchema = "mac3d-snapshot/1";
-
-[[nodiscard]] std::uint64_t to_u64(double value) {
-  return value <= 0.0 ? 0 : static_cast<std::uint64_t>(value + 0.5);
-}
 
 /// Report numbers are doubles; snapshot totals are integers. Integral
 /// report values round-trip exactly, so half-a-count slack is enough.
@@ -28,41 +29,14 @@ constexpr std::string_view kStreamSchema = "mac3d-snapshot/1";
   return buf;
 }
 
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Pull every `prefix.<rest>` numeric leaf of a flattened line into a
-/// name -> value map, stripping the prefix. Census component names keep
-/// their internal dots ("census.node0.router" -> "node0.router").
-template <typename Value, typename Convert>
-void collect_prefixed(const FlatReport& line, const std::string& prefix,
-                      std::map<std::string, Value>& out, Convert convert) {
-  const std::string start = prefix + ".";
-  for (auto it = line.numbers.lower_bound(start);
-       it != line.numbers.end() && it->first.compare(0, start.size(),
-                                                     start) == 0;
-       ++it) {
-    out[it->first.substr(start.size())] = convert(it->second);
-  }
+/// The string member `key` of a stream line (nullptr when absent or not
+/// a string).
+[[nodiscard]] const std::string* string_member(const JsonValue& line,
+                                               std::string_view key) {
+  const JsonValue* member = line.find(key);
+  return member != nullptr && member->kind == JsonValue::Kind::kString
+             ? &member->string
+             : nullptr;
 }
 
 [[nodiscard]] const double* find_number(const FlatReport& report,
@@ -126,87 +100,107 @@ bool parse_snapshot_stream(const std::string& text, SnapshotStream& out,
   std::size_t line_no = 0;
   bool header_seen = false;
   SnapshotRun* run = nullptr;
+  JsonValue doc;
   const auto fail = [&](const std::string& what) {
     error = "snapshot line " + std::to_string(line_no) + ": " + what;
     return false;
   };
+  // Checked count conversion: a non-negative integer <= 2^53, or the
+  // line fails (never a raw double-to-integer cast).
+  const auto to_count = [&](const JsonValue& value, const std::string& key,
+                            std::uint64_t& out_value) {
+    const std::optional<std::uint64_t> parsed = value.as_u64();
+    if (!parsed) return fail("\"" + key + "\" is not a non-negative integer");
+    out_value = *parsed;
+    return true;
+  };
+  // A top-level count member; an absent one leaves `value` alone.
+  const auto count = [&](const std::string& key, std::uint64_t& value) {
+    const JsonValue* member = doc.find(key);
+    return member == nullptr || to_count(*member, key, value);
+  };
+  const auto has_all = [&](std::initializer_list<std::string_view> keys) {
+    return std::all_of(keys.begin(), keys.end(), [&](std::string_view key) {
+      return doc.find(key) != nullptr;
+    });
+  };
   while (std::getline(lines, line)) {
     ++line_no;
     if (line.empty()) continue;
-    FlatReport flat;
     std::string parse_error;
-    if (!flatten_json(line, flat, parse_error)) return fail(parse_error);
+    if (!parse_json(line, doc, parse_error)) return fail(parse_error);
 
-    if (const auto schema = flat.strings.find("schema");
-        schema != flat.strings.end()) {
-      if (schema->second != kStreamSchema) {
-        return fail("unsupported stream schema \"" + schema->second + "\"");
+    if (const std::string* schema = string_member(doc, "schema")) {
+      if (*schema != kStreamSchema) {
+        return fail("unsupported stream schema \"" + *schema + "\"");
       }
-      const double* period = find_number(flat, "period");
-      if (period == nullptr || to_u64(*period) == 0) {
-        return fail("header has no positive \"period\"");
-      }
-      out.period = to_u64(*period);
+      out.period = 0;
+      if (!count("period", out.period)) return false;
+      if (out.period == 0) return fail("header has no positive \"period\"");
       header_seen = true;
       continue;
     }
     if (!header_seen) return fail("expected mac3d-snapshot/1 header first");
 
-    if (const auto marker = flat.strings.find("run");
-        marker != flat.strings.end()) {
+    if (const std::string* label = string_member(doc, "run")) {
       out.runs.emplace_back();
       run = &out.runs.back();
-      run->label = marker->second;
+      run->label = *label;
       continue;
     }
     if (run == nullptr) return fail("line outside any run");
 
-    if (flat.strings.count("watchdog") != 0) {
+    if (string_member(doc, "watchdog") != nullptr) {
       run->watchdog_fired = true;
-      if (const double* cycle = find_number(flat, "cycle")) {
-        run->watchdog_cycle = to_u64(*cycle);
-      }
-      if (const double* stalled = find_number(flat, "stalled_windows")) {
-        run->watchdog_stalled = to_u64(*stalled);
-      }
-      if (const double* threshold =
-              find_number(flat, "threshold_windows")) {
-        run->watchdog_threshold = to_u64(*threshold);
+      if (!count("cycle", run->watchdog_cycle) ||
+          !count("stalled_windows", run->watchdog_stalled) ||
+          !count("threshold_windows", run->watchdog_threshold)) {
+        return false;
       }
       continue;
     }
-    if (flat.strings.count("end") != 0) {
-      const double* cycle = find_number(flat, "cycle");
-      const double* windows = find_number(flat, "windows");
-      const double* injected = find_number(flat, "injected");
-      const double* completions = find_number(flat, "completions");
-      const double* in_flight = find_number(flat, "in_flight_at_end");
-      if (cycle == nullptr || windows == nullptr || injected == nullptr ||
-          completions == nullptr || in_flight == nullptr) {
+    if (string_member(doc, "end") != nullptr) {
+      if (!has_all({"cycle", "windows", "injected", "completions",
+                    "in_flight_at_end"})) {
         return fail("footer missing a required field");
       }
+      if (!count("cycle", run->end_cycle) ||
+          !count("windows", run->footer_windows) ||
+          !count("injected", run->injected) ||
+          !count("completions", run->completions) ||
+          !count("in_flight_at_end", run->in_flight_at_end)) {
+        return false;
+      }
       run->has_footer = true;
-      run->end_cycle = to_u64(*cycle);
-      run->footer_windows = to_u64(*windows);
-      run->injected = to_u64(*injected);
-      run->completions = to_u64(*completions);
-      run->in_flight_at_end = to_u64(*in_flight);
       run = nullptr;  // further windows need a fresh "run" marker
       continue;
     }
 
-    const double* cycle = find_number(flat, "cycle");
-    const double* in_flight = find_number(flat, "in_flight");
-    if (cycle == nullptr || in_flight == nullptr) {
-      return fail("unrecognized line");
-    }
+    if (!has_all({"cycle", "in_flight"})) return fail("unrecognized line");
     SnapshotWindowRow row;
-    row.cycle = to_u64(*cycle);
-    row.in_flight = to_u64(*in_flight);
-    collect_prefixed(flat, "counters", row.counters, to_u64);
-    collect_prefixed(flat, "census", row.census, to_u64);
-    collect_prefixed(flat, "gauges", row.gauges,
-                     [](double v) { return v; });
+    if (!count("cycle", row.cycle) ||
+        !count("in_flight", row.in_flight)) {
+      return false;
+    }
+    // Counter and census names keep their internal dots
+    // ("node0.router"): each is one member of its object.
+    for (const auto& [section, values] :
+         {std::pair{"counters", &row.counters},
+          std::pair{"census", &row.census}}) {
+      if (const JsonValue* object = doc.find(section)) {
+        for (const auto& [name, value] : object->members) {
+          if (!to_count(value, name, (*values)[name])) return false;
+        }
+      }
+    }
+    if (const JsonValue* gauges = doc.find("gauges")) {
+      for (const auto& [name, value] : gauges->members) {
+        if (value.kind != JsonValue::Kind::kNumber) {
+          return fail("gauge \"" + name + "\" is not a number");
+        }
+        row.gauges[name] = value.number;
+      }
+    }
     run->windows.push_back(std::move(row));
   }
   if (!header_seen) {
@@ -472,7 +466,7 @@ std::string analysis_json(const AnalysisResult& result,
   for (std::size_t i = 0; i < result.runs.size(); ++i) {
     const RunAnalysis& ra = result.runs[i];
     if (i != 0) out += ",";
-    out += "{\"label\":\"" + escape(ra.label) + "\"";
+    out += "{\"label\":" + json_quote(ra.label);
     out += ",\"end_cycle\":" + std::to_string(ra.end_cycle);
     out += ",\"window_count\":" + std::to_string(ra.windows.size());
     out += ",\"throughput_per_cycle\":" + format_double(ra.throughput);
@@ -490,16 +484,14 @@ std::string analysis_json(const AnalysisResult& result,
     out += ",\"conservation\":{\"stream_ok\":";
     out += ra.stream_conserved ? "true" : "false";
     if (!ra.stream_conserved) {
-      out += ",\"stream_error\":\"" + escape(ra.stream_conservation_error) +
-             "\"";
+      out += ",\"stream_error\":" + json_quote(ra.stream_conservation_error);
     }
     out += ",\"cross_checked\":";
     out += ra.cross_checked ? "true" : "false";
     out += ",\"cross_ok\":";
     out += ra.cross_conserved ? "true" : "false";
     if (!ra.cross_conserved) {
-      out += ",\"cross_error\":\"" + escape(ra.cross_conservation_error) +
-             "\"";
+      out += ",\"cross_error\":" + json_quote(ra.cross_conservation_error);
     }
     out += "}";
     out += ",\"watchdog\":{\"fired\":";
@@ -509,9 +501,9 @@ std::string analysis_json(const AnalysisResult& result,
     }
     out += "}";
     if (!ra.critical_component.empty()) {
-      out += ",\"critical\":{\"component\":\"" +
-             escape(ra.critical_component) +
-             "\",\"windows\":" + std::to_string(ra.critical_windows) + "}";
+      out += ",\"critical\":{\"component\":" +
+             json_quote(ra.critical_component) +
+             ",\"windows\":" + std::to_string(ra.critical_windows) + "}";
     }
     out += ",\"windows\":[";
     for (std::size_t w = 0; w < ra.windows.size(); ++w) {
@@ -527,7 +519,7 @@ std::string analysis_json(const AnalysisResult& result,
                format_double(win.bandwidth_efficiency);
       }
       if (!win.critical_stage.empty()) {
-        out += ",\"critical_stage\":\"" + escape(win.critical_stage) + "\"";
+        out += ",\"critical_stage\":" + json_quote(win.critical_stage);
         out += ",\"critical_utilization\":" +
                format_double(win.critical_utilization);
       }

@@ -20,9 +20,10 @@
 
 namespace mac3d {
 
-/// Minimal recursive-descent JSON reader for run reports: objects, arrays,
-/// strings (with escapes), numbers, bools, null. No DOM — parse_report
-/// flattens directly into path -> leaf maps.
+/// A JSON document flattened to dotted-path leaf maps: parse_json
+/// (common/json.hpp) reads it, then one walk files every leaf. Bools read
+/// as 1/0 numbers, null as the string "null", array elements as ".N"
+/// paths; a later duplicate key overwrites an earlier one.
 struct FlatReport {
   std::string schema;
   std::map<std::string, double> numbers;  ///< dotted path -> numeric leaf

@@ -18,7 +18,7 @@
 #include <sstream>
 #include <string>
 
-#include "lint/json_doc.hpp"
+#include "common/json.hpp"
 #include "lint/lexer.hpp"
 #include "lint/lint.hpp"
 #include "lint/rules.hpp"
@@ -154,6 +154,51 @@ TEST(LintBaseline, LoaderRejectsBadDocuments) {
   EXPECT_NE(error.find("no.such_rule"), std::string::npos);
 }
 
+TEST(LintBaseline, LoaderRejectsCountsOutsideOneTo2Pow53) {
+  // A negative count once cast to 2^64 - 1 and silently baselined every
+  // finding of its rule and file; a fraction or a huge value is no
+  // count either. Each is refused with the file named.
+  for (const char* count : {"-1", "0", "1.5", "1e300", "9007199254740994",
+                            "true", "\"3\""}) {
+    const std::string path = write_temp(
+        "lint_bad_count.json",
+        std::string(R"({"schema": "mac3d-lint-baseline/1", "entries": [
+           {"rule": "det.rand_source", "file": "a.cpp", "count": )") +
+            count + "}]}");
+    Baseline baseline;
+    std::string error;
+    EXPECT_FALSE(load_baseline(path, baseline, error)) << count;
+    EXPECT_NE(error.find(path), std::string::npos) << error;
+  }
+  // An absent count still means one finding.
+  const std::string path = write_temp(
+      "lint_no_count.json",
+      R"({"schema": "mac3d-lint-baseline/1", "entries": [
+           {"rule": "det.rand_source", "file": "a.cpp"}]})");
+  Baseline baseline;
+  std::string error;
+  ASSERT_TRUE(load_baseline(path, baseline, error)) << error;
+  ASSERT_EQ(baseline.entries.size(), 1u);
+  EXPECT_EQ(baseline.entries[0].count, 1u);
+}
+
+TEST(LintBaseline, NegativeCountNeverBaselinesTheViolatingTree) {
+  // The shown failure: every finding of one (rule, file) pair of the
+  // violating fixture, "allowed" by a count of -1, must stay new.
+  const LintReport report = run_rules(kViolating);
+  ASSERT_FALSE(report.findings.empty());
+  const Finding& first = report.findings.front();
+  const std::string path = write_temp(
+      "lint_negative_count.json",
+      R"({"schema": "mac3d-lint-baseline/1", "entries": [{"rule": ")" +
+          first.rule + R"(", "file": ")" + first.file +
+          R"(", "count": -1}]})");
+  LintCliOptions gated;
+  gated.root = kViolating;
+  gated.baseline = path;
+  EXPECT_EQ(run_lint_cli(gated), 2);
+}
+
 TEST(LintSarif, DocumentIsWellFormedAndComplete) {
   LintReport report = run_rules(kViolating);
   const Baseline baseline =
@@ -185,7 +230,8 @@ TEST(LintSarif, DocumentIsWellFormedAndComplete) {
                                    ->items[0]
                                    .find("physicalLocation")
                                    ->find("region");
-    EXPECT_GE(region.number_or("startLine"), 1.0);  // SARIF is 1-based
+    ASSERT_NE(region.find("startLine"), nullptr);
+    EXPECT_GE(region.find("startLine")->number, 1.0);  // SARIF is 1-based
   }
 }
 

@@ -1,6 +1,10 @@
 // Report schema versioning and the regression-diff tool (src/obs/
 // report_diff.*, docs/OBSERVABILITY.md §report-diff):
-//  * the flattening parser reads schema /1../3 (legacy) and /4 reports;
+//  * the flattening parser reads schema /1../3 (legacy) and /4 reports,
+//    keeps the leaf rules of the flat path maps, and refuses numbers that
+//    are not strict finite JSON (1e999, +5);
+//  * a non-finite delta is out of tolerance, and a bench binary's
+//    --tolerance must be a finite percentage >= 0 (exit 2 otherwise);
 //  * a /4 report round-trips through the differ with a zero self-diff;
 //  * tolerance gating fires on a perturbed metric and stays quiet inside
 //    the tolerance band;
@@ -14,8 +18,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <vector>
 
+#include "bench/bench_common.hpp"
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "obs/report_diff.hpp"
@@ -102,6 +109,51 @@ TEST(ReportParse, RejectsUnknownSchemaAndMalformedJson) {
   error.clear();
   EXPECT_FALSE(parse_report("{\"cycles\": 1}", flat, error));  // no schema
   EXPECT_FALSE(error.empty());
+}
+
+TEST(ReportParse, RejectsOverflowingAndSignedNumbers) {
+  // 1e999 once read as infinity, and a diff against it printed "+nan%"
+  // and passed; a leading '+' is not JSON either.
+  for (const char* cycles : {"1e999", "-1e999", "+5", "01", "1."}) {
+    FlatReport flat;
+    std::string error;
+    EXPECT_FALSE(parse_report(
+        std::string("{\"schema\": \"mac3d-run-report/4\", \"cycles\": ") +
+            cycles + "}",
+        flat, error))
+        << cycles;
+    EXPECT_NE(error.find("at byte"), std::string::npos) << error;
+  }
+}
+
+TEST(ReportParse, FlattenKeepsLeafRulesAndLastDuplicateWins) {
+  FlatReport flat;
+  std::string error;
+  ASSERT_TRUE(flatten_json(
+      R"({"a": {"ok": true, "off": false, "none": null, "xs": [4, "s"]},
+          "b": 1, "c": {}, "b": 2, "q": "\u0041\n"})",
+      flat, error))
+      << error;
+  EXPECT_EQ(flat.numbers.at("a.ok"), 1.0);
+  EXPECT_EQ(flat.numbers.at("a.off"), 0.0);
+  EXPECT_EQ(flat.strings.at("a.none"), "null");
+  EXPECT_EQ(flat.numbers.at("a.xs.0"), 4.0);
+  EXPECT_EQ(flat.strings.at("a.xs.1"), "s");
+  EXPECT_EQ(flat.numbers.at("b"), 2.0);
+  EXPECT_EQ(flat.strings.at("q"), "A\n");
+  EXPECT_EQ(flat.sections, (std::vector<std::string>{"a", "c"}));
+}
+
+TEST(ReportDiff, NonFiniteDeltaIsOutOfTolerance) {
+  // A hand-built FlatReport can still hold infinity: inf vs 5 gives a
+  // NaN relative delta, which must gate rather than compare false.
+  FlatReport a;
+  FlatReport b;
+  a.numbers["cycles"] = std::numeric_limits<double>::infinity();
+  b.numbers["cycles"] = 5.0;
+  const DiffResult result = diff_reports(a, b, DiffOptions{});
+  EXPECT_EQ(result.out_of_tolerance, 1u);
+  EXPECT_FALSE(result.ok());
 }
 
 TEST(ReportDiff, SelfDiffIsCleanAndIgnoresWallSeconds) {
@@ -284,9 +336,32 @@ TEST(ReportDiffCli, ExitCodesMatchTheContract) {
                          "  \"mystery\": {\"x\": 1}\n}\n");
   EXPECT_EQ(run_report_diff(old_path, unknown_path, DiffOptions{}), 2);
 
+  // A baseline whose cycles overflow a double is unreadable, not a pass.
+  const std::string five_path = write_temp(
+      "rd_five.json",
+      "{\"schema\": \"mac3d-run-report/4\", \"cycles\": 5}");
+  const std::string overflow_path = write_temp(
+      "rd_overflow.json",
+      "{\"schema\": \"mac3d-run-report/4\", \"cycles\": 1e999}");
+  EXPECT_EQ(run_report_diff(overflow_path, five_path, DiffOptions{}), 2);
+
   for (const std::string& p : {old_path, new_path, bad_path, junk_path,
-                               v2_path, unknown_path}) {
+                               v2_path, unknown_path, five_path,
+                               overflow_path}) {
     std::remove(p.c_str());
+  }
+}
+
+TEST(BenchSession, ToleranceMustBeAFiniteNonNegativePercentage) {
+  // `--tolerance nan` once disabled every bench baseline gate.
+  for (const char* value : {"nan", "inf", "-1", "5x", ""}) {
+    std::string arg0 = "bench";
+    std::string flag = "--tolerance";
+    std::string text = value;
+    char* argv[] = {arg0.data(), flag.data(), text.data()};
+    EXPECT_EXIT(bench::Session(3, argv, "unit"),
+                ::testing::ExitedWithCode(2), "bad value")
+        << value;
   }
 }
 

@@ -521,6 +521,35 @@ TEST(Analyze, ParserRejectsMalformedStreams) {
   EXPECT_FALSE(parse_snapshot_stream("not json\n", stream, error));
 }
 
+TEST(Analyze, ParserRejectsCountsOutsideZeroTo2Pow53) {
+  // Negative, fractional and huge counts once went through an unchecked
+  // double-to-integer cast (clamped, rounded or undefined); now each
+  // fails with its line named.
+  const std::string header =
+      "{\"schema\":\"mac3d-snapshot/1\",\"period\":100}\n";
+  const std::string run = "{\"run\":\"unit\"}\n";
+  const std::string cases[] = {
+      "{\"schema\":\"mac3d-snapshot/1\",\"period\":1e300}\n",
+      "{\"schema\":\"mac3d-snapshot/1\",\"period\":2.5}\n",
+      header + run + "{\"cycle\":-1,\"in_flight\":0}\n",
+      header + run +
+          "{\"cycle\":100,\"counters\":{\"injected\":-3},\"in_flight\":0}\n",
+      header + run +
+          "{\"cycle\":100,\"in_flight\":0,\"census\":{\"node0.arq\":0.5}}\n",
+      header + run +
+          "{\"end\":\"unit\",\"cycle\":1,\"windows\":0,"
+          "\"injected\":1e300,\"completions\":0,\"in_flight_at_end\":0}\n",
+      header + run +
+          "{\"watchdog\":\"fired\",\"cycle\":-400}\n",
+  };
+  for (const std::string& text : cases) {
+    SnapshotStream stream;
+    std::string error;
+    EXPECT_FALSE(parse_snapshot_stream(text, stream, error)) << text;
+    EXPECT_NE(error.find("snapshot line "), std::string::npos) << error;
+  }
+}
+
 TEST(Analyze, JsonTwinCarriesTheSchema) {
   SnapshotStream stream;
   std::string error;
