@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     Node& node = system.node(n);
     table.add_row({std::to_string(n),
                    Table::count(node.device().stats().requests),
-                   Table::pct(node.mac().stats().coalescing_efficiency()),
+                   Table::pct(node.mac().ledger().coalescing_efficiency()),
                    Table::pct(
                        node.device().stats().measured_bandwidth_efficiency()),
                    Table::count(node.device().stats().bank_conflicts),

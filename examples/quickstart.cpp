@@ -51,9 +51,9 @@ void figure2_example() {
     now = next <= now ? now + 1 : next;
   }
   std::printf("raw requests in : %llu\n",
-              static_cast<unsigned long long>(mac.stats().raw_in));
+              static_cast<unsigned long long>(mac.ledger().raw_in()));
   std::printf("HMC packets out : %llu",
-              static_cast<unsigned long long>(mac.stats().packets_out));
+              static_cast<unsigned long long>(mac.ledger().packets_out()));
   for (const auto& [size, count] : mac.stats().packets_by_size) {
     std::printf("  (%llux %uB)", static_cast<unsigned long long>(count),
                 size);

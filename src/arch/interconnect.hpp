@@ -14,7 +14,7 @@
 #include "check/invariants.hpp"
 #include "common/config.hpp"
 #include "common/types.hpp"
-#include "mac/coalescer.hpp"
+#include "mac/path_ledger.hpp"
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
 
@@ -61,19 +61,9 @@ class Interconnect {
     return out;
   }
 
-  // ---- Activity oracle (idle-cycle census, docs/OBSERVABILITY.md) --------
-  /// Stamped at sends and non-empty deliveries.
-  [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept {
-    return last_work_ == now;
-  }
-  /// Census stamp slot: the last cycle the fabric did work.
+  /// Census stamp slot: the last cycle the fabric did work (stamped at
+  /// sends and non-empty deliveries).
   [[nodiscard]] const Cycle& last_work() const noexcept { return last_work_; }
-  /// Earliest pending delivery (0 = drained) — the event-driven engine's
-  /// wake-up oracle for the fabric.
-  [[nodiscard]] Cycle next_activity_cycle(Cycle now) const noexcept {
-    (void)now;
-    return next_delivery();
-  }
 
   [[nodiscard]] bool idle() const noexcept {
     for (const auto& lane : request_lanes_) {

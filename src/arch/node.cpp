@@ -148,12 +148,7 @@ bool Node::drained() const noexcept {
          router_->global_queue().empty() && pending_remote_.empty();
 }
 
-bool Node::did_work_this_cycle(Cycle now) const noexcept {
-  return router_->did_work_this_cycle(now) ||
-         path_->did_work_this_cycle(now);
-}
-
-Cycle Node::next_activity_cycle(Cycle now) const noexcept {
+Cycle Node::next_event(Cycle now) const noexcept {
   Cycle next = 0;
   const auto merge = [&next, now](Cycle candidate) {
     if (candidate == 0) return;  // that unit is drained
@@ -163,7 +158,7 @@ Cycle Node::next_activity_cycle(Cycle now) const noexcept {
   // Remote requests the router refused retry every cycle until routed.
   if (!pending_remote_.empty()) merge(now + 1);
   // Queued router work (MAC intake, outbound fabric forwarding).
-  merge(router_->next_activity_cycle(now));
+  merge(router_->next_event(now));
   // The memory path's own oracle covers the device: its next_event folds
   // in the earliest in-flight device completion.
   merge(path_->next_event(now));

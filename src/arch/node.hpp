@@ -40,13 +40,11 @@ class Node {
   [[nodiscard]] bool drained() const noexcept;
 
   // ---- Activity oracle (docs/PARALLELISM.md §event-driven engine) --------
-  /// Any of this node's units did useful work at `now`.
-  [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept;
   /// Earliest cycle > `now` at which any unit of this node could do work
   /// (0 = drained forever barring fabric arrivals, which the System-level
   /// jump covers via Interconnect::next_delivery). Ask only after
   /// tick(now) — the answer reflects post-tick state.
-  [[nodiscard]] Cycle next_activity_cycle(Cycle now) const noexcept;
+  [[nodiscard]] Cycle next_event(Cycle now) const noexcept;
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }
   [[nodiscard]] HmcDevice& device() noexcept { return *device_; }

@@ -33,14 +33,14 @@ struct NodesFeed {
 
   /// The minimum of every node's next-activity oracle and the fabric's
   /// next delivery.
-  [[nodiscard]] Cycle next_activity(Cycle now) const {
+  [[nodiscard]] Cycle next_event(Cycle now) const {
     Cycle next = kNoActivity;
     const auto merge = [&next, now](Cycle candidate) {
       if (candidate == kNoActivity) return;
       if (candidate <= now) candidate = now + 1;
       if (next == kNoActivity || candidate < next) next = candidate;
     };
-    for (const auto& node : nodes) merge(node->next_activity_cycle(now));
+    for (const auto& node : nodes) merge(node->next_event(now));
     if (fabric != nullptr) merge(fabric->next_delivery());
     return next;
   }

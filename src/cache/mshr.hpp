@@ -10,38 +10,24 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "mac/coalescer.hpp"  // CompletedAccess
+#include "mac/path_ledger.hpp"
 #include "mem/hmc_device.hpp"
 
 namespace mac3d {
 
-class CheckContext;
-class ConservationChecker;
-class EventSink;
-
+/// The MSHR's own counters; intake, latency and completion counts live in
+/// its PathLedger.
 struct MshrStats {
-  std::uint64_t raw_in = 0;
-  std::uint64_t fences_in = 0;     ///< fences accepted (complete like requests)
-  std::uint64_t merged = 0;        ///< requests merged into an existing entry
-  std::uint64_t packets_out = 0;   ///< fixed-size transactions dispatched
-  std::uint64_t stalls_full = 0;   ///< cycles an allocation failed
-  RunningStat raw_latency_cycles;
-
-  [[nodiscard]] double coalescing_efficiency() const noexcept {
-    return raw_in == 0 ? 0.0
-                       : 1.0 - static_cast<double>(packets_out) /
-                                   static_cast<double>(raw_in);
-  }
+  std::uint64_t merged = 0;       ///< requests merged into an existing entry
+  std::uint64_t stalls_full = 0;  ///< cycles an allocation failed
 };
 
 class MshrCoalescer {
@@ -49,9 +35,6 @@ class MshrCoalescer {
   /// `entries`: MSHR file size; `block_bytes`: fixed transaction size.
   MshrCoalescer(const SimConfig& config, HmcDevice& device,
                 std::uint32_t entries = 32, std::uint32_t block_bytes = 64);
-  ~MshrCoalescer();
-  MshrCoalescer(const MshrCoalescer&) = delete;
-  MshrCoalescer& operator=(const MshrCoalescer&) = delete;
 
   [[nodiscard]] bool can_accept() const noexcept;
   /// Dual-ported intake symmetric with MacCoalescer: one merge and one
@@ -69,27 +52,21 @@ class MshrCoalescer {
 
   // ---- Policy surface (MacCoalescer documents each member) --------------
   static constexpr CoalescerPolicy kPolicy = CoalescerPolicy::kMshr;
-  [[nodiscard]] std::uint64_t raw_in() const noexcept { return stats_.raw_in; }
-  [[nodiscard]] std::uint64_t injected() const noexcept {
-    return stats_.raw_in + stats_.fences_in;
-  }
+  [[nodiscard]] const PathLedger& ledger() const noexcept { return ledger_; }
   /// Live MSHR file entries.
   [[nodiscard]] std::size_t occupancy() const noexcept { return file_.size(); }
   /// Entries waiting to dispatch a transaction.
   [[nodiscard]] std::size_t issue_backlog() const noexcept {
     return dispatch_queue_.size();
   }
-  [[nodiscard]] const RunningStat& raw_latency() const noexcept {
-    return stats_.raw_latency_cycles;
-  }
   /// Every transaction is one fixed-size block.
   [[nodiscard]] std::map<std::uint32_t, std::uint64_t> packets_by_size()
       const {
-    return {{block_bytes_, stats_.packets_out}};
+    return {{block_bytes_, ledger_.packets_out()}};
   }
   template <typename Census>
   void register_census(Census& census, const std::string& prefix) const {
-    census.add_stamp(prefix + "mshr", last_work_);
+    ledger_.register_census(census, prefix + "mshr");
   }
   void collect(StatSet& out, const std::string& prefix) const;
 
@@ -100,16 +77,7 @@ class MshrCoalescer {
 
   /// Enable request-lifecycle telemetry (docs/OBSERVABILITY.md). The sink
   /// must outlive the coalescer; pass nullptr to detach.
-  void attach_sink(EventSink* sink) noexcept { sink_ = sink; }
-
-  // ---- Activity oracle (idle-cycle census, docs/OBSERVABILITY.md) --------
-  [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept {
-    return last_work_ == now;
-  }
-  [[nodiscard]] const Cycle& last_work() const noexcept { return last_work_; }
-  [[nodiscard]] Cycle next_activity_cycle(Cycle now) const noexcept {
-    return next_event(now);
-  }
+  void attach_sink(EventSink* sink) noexcept { ledger_.attach_sink(sink); }
 
   /// Deliberate model bug for the invariant test suite: let the next
   /// `n` allocations ignore the entry-count capacity test, overfilling
@@ -124,16 +92,12 @@ class MshrCoalescer {
     bool write = false;
     bool dispatched = false;
     std::vector<Target> targets;
-    std::vector<Cycle> accept_cycles;
   };
 
   static std::uint64_t entry_key(Address block, bool write) noexcept {
     return block | (write ? 1ull : 0ull);
   }
 
-  [[nodiscard]] bool intake(const RawRequest& request, Cycle now);
-
-  SimConfig config_;
   HmcDevice& device_;
   std::uint32_t entries_;
   std::uint32_t block_bytes_;
@@ -141,21 +105,13 @@ class MshrCoalescer {
   std::deque<std::uint64_t> dispatch_queue_;       ///< keys awaiting dispatch
   std::unordered_map<TransactionId, std::uint64_t> in_flight_;
   std::unordered_set<std::uint64_t> atomic_keys_;
-  std::deque<std::pair<Target, Cycle>> fences_;
-  std::uint32_t barrier_pending_ = 0;
+  std::deque<Target> fences_;  ///< pending barriers, oldest first
   std::uint64_t next_unique_ = 0;
   Cycle merge_port_used_at_ = ~Cycle{0};
   Cycle alloc_port_used_at_ = ~Cycle{0};
-  std::vector<CompletedAccess> ready_completions_;
-  std::vector<CompletedAccess> drained_;  ///< drain()'s result, reused
-  TransactionId next_txn_ = 1;
-  Cycle last_cycle_ = 0;
-  Cycle last_work_ = ~Cycle{0};  ///< census slot (MAC3D_OBS_ACTIVITY)
+  PathLedger ledger_;
   MshrStats stats_;
   std::uint32_t inject_overrun_ = 0;
-  CheckContext* checks_ = nullptr;
-  EventSink* sink_ = nullptr;
-  std::unique_ptr<ConservationChecker> conservation_;
 };
 
 }  // namespace mac3d

@@ -21,9 +21,8 @@ namespace {
 const std::vector<RuleInfo> kCatalog = {
     {"det.activity_oracle", "DET",
      "a header-declared tickable component (void tick(Cycle ...)) must "
-     "also advertise the activity-oracle pair did_work_this_cycle / "
-     "next_activity_cycle that the event-driven fast-forward engine and "
-     "the idle census consume (docs/PARALLELISM.md)"},
+     "also advertise the activity oracle next_event that the "
+     "event-driven fast-forward engine consumes (docs/PARALLELISM.md)"},
     {"det.env_access", "DET",
      "environment reads outside the config layer make runs depend on "
      "ambient state; route configuration through SimConfig"},
@@ -285,29 +284,17 @@ void det_activity_oracle(const FileTokens& file, std::vector<Finding>& out) {
     return;
   }
   const auto& tokens = file.tokens;
-  bool has_did_work = false;
-  bool has_next_activity = false;
   for (const Token& token : tokens) {
-    if (token.kind != Tok::kIdent) continue;
-    if (token.text == "did_work_this_cycle") has_did_work = true;
-    if (token.text == "next_activity_cycle") has_next_activity = true;
-  }
-  if (has_did_work && has_next_activity) return;
-  std::string missing;
-  if (!has_did_work) missing = "did_work_this_cycle";
-  if (!has_next_activity) {
-    if (!missing.empty()) missing += " and ";
-    missing += "next_activity_cycle";
+    if (token.kind == Tok::kIdent && token.text == "next_event") return;
   }
   for (std::size_t i = 0; i + 3 < tokens.size(); ++i) {
     if (is_ident(tokens[i], "void") && is_ident(tokens[i + 1], "tick") &&
         is_punct(tokens[i + 2], "(") && is_ident(tokens[i + 3], "Cycle")) {
       add_finding(out, "det.activity_oracle", file.path, tokens[i + 1].line,
                   tokens[i + 1].col,
-                  "tickable component declares tick(Cycle) but not " +
-                      missing +
-                      "; the event-driven engine and idle census need the "
-                      "activity-oracle pair (docs/PARALLELISM.md)");
+                  "tickable component declares tick(Cycle) but not "
+                  "next_event; the event-driven engine needs the activity "
+                  "oracle (docs/PARALLELISM.md)");
     }
   }
 }

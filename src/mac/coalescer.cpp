@@ -3,24 +3,21 @@
 #include <algorithm>
 #include <cassert>
 
-#include "check/check.hpp"
-#include "check/conservation.hpp"
 #include "obs/obs.hpp"
 
 namespace mac3d {
 
-void MacStats::collect(StatSet& out, const std::string& prefix) const {
-  out.set(prefix + ".raw_in", static_cast<double>(raw_in));
-  out.set(prefix + ".fences_in", static_cast<double>(fences_in));
-  out.set(prefix + ".packets_out", static_cast<double>(packets_out));
-  out.set(prefix + ".built_out", static_cast<double>(built_out));
-  out.set(prefix + ".bypass_out", static_cast<double>(bypass_out));
-  out.set(prefix + ".atomic_out", static_cast<double>(atomic_out));
-  out.set(prefix + ".completions", static_cast<double>(completions));
-  out.set(prefix + ".coalescing_efficiency", coalescing_efficiency());
-  out.set(prefix + ".avg_raw_latency_cycles", raw_latency_cycles.mean());
-  for (const auto& [size, count] : packets_by_size) {
-    out.set(prefix + ".packets_" + std::to_string(size) + "B",
+void MacCoalescer::collect(StatSet& out, const std::string& prefix) const {
+  const std::string base = prefix + ".mac";
+  ledger_.collect(out, base);
+  out.set(base + ".fences_in", static_cast<double>(ledger_.fences_in()));
+  out.set(base + ".built_out", static_cast<double>(stats_.built_out));
+  out.set(base + ".bypass_out", static_cast<double>(stats_.bypass_out));
+  out.set(base + ".atomic_out", static_cast<double>(stats_.atomic_out));
+  out.set(base + ".completions", static_cast<double>(ledger_.completions()));
+  out.set(base + ".coalescing_efficiency", ledger_.coalescing_efficiency());
+  for (const auto& [size, count] : stats_.packets_by_size) {
+    out.set(base + ".packets_" + std::to_string(size) + "B",
             static_cast<double>(count));
   }
 }
@@ -33,21 +30,11 @@ MacCoalescer::MacCoalescer(const SimConfig& config, HmcDevice& device)
   config_.validate();
 }
 
-MacCoalescer::~MacCoalescer() = default;
-
 void MacCoalescer::attach_checks(CheckContext* context,
                                  const std::string& scope) {
-  checks_ = context;
   arq_.attach_checks(context);
   builder_.attach_checks(context);
-  if (context == nullptr) {
-    conservation_.reset();
-    return;
-  }
-  conservation_ = std::make_unique<ConservationChecker>(*context, scope);
-  context->on_finalize([this](CheckContext&) {
-    if (conservation_ != nullptr) conservation_->finalize(last_tick_);
-  });
+  ledger_.attach_checks(context, scope);
 }
 
 bool MacCoalescer::try_accept(const RawRequest& request, Cycle now) {
@@ -62,41 +49,22 @@ bool MacCoalescer::try_accept(const RawRequest& request, Cycle now) {
     case Arq::InsertResult::kMerged:
       merge_port_used_at_ = now;
       MAC3D_OBS_ACTIVITY(arq_last_work_, now);
-      MAC3D_OBS_ACTIVITY(last_work_, now);
-      MAC3D_OBS_STAMP(sink_, Stage::kQueueInsert, request.tid, request.tag,
-                      now);
-      MAC3D_OBS_STAMP(sink_, Stage::kMerge, request.tid, request.tag, now);
-#if MAC3D_OBS_ENABLED
-      if (sink_ != nullptr && merged_into != nullptr &&
-          !merged_into->targets.empty()) {
-        const Target& leader = merged_into->targets.front();
-        sink_->on_merge(request.tid, request.tag, leader.tid, leader.tag, now);
-      }
-#endif
-      break;
+      ledger_.accept(request, now);
+      ledger_.merged(request,
+                     merged_into != nullptr && !merged_into->targets.empty()
+                         ? &merged_into->targets.front()
+                         : nullptr,
+                     now);
+      return true;
     case Arq::InsertResult::kAllocated:
       alloc_port_used_at_ = now;
       MAC3D_OBS_ACTIVITY(arq_last_work_, now);
-      MAC3D_OBS_ACTIVITY(last_work_, now);
-      MAC3D_OBS_STAMP(sink_, Stage::kQueueInsert, request.tid, request.tag,
-                      now);
-      break;
+      ledger_.accept(request, now);
+      return true;
     case Arq::InsertResult::kRejected:
-      return false;
+      break;
   }
-
-  if (request.op == MemOp::kFence) {
-    ++stats_.fences_in;
-  } else {
-    ++stats_.raw_in;
-  }
-  accept_cycle_.put(key(Target{request.tid, request.tag, 0}), now);
-#if MAC3D_CHECKS_ENABLED
-  if (conservation_ != nullptr) {
-    conservation_->on_accept(request.tid, request.tag, request.op, now);
-  }
-#endif
-  return true;
+  return false;
 }
 
 void MacCoalescer::accept(const RawRequest& request, Cycle now) {
@@ -123,16 +91,10 @@ void MacCoalescer::pop_stage(Cycle now) {
     // A fence retires only once every earlier memory operation has fully
     // completed (Sec. 4.1): builder and issue queue drained, nothing in
     // flight in the device.
-    if (builder_.empty() && issue_queue_.empty() && outstanding_ == 0) {
-      ArqEntry fence = arq_.pop();
-      CompletedAccess done;
-      done.target = fence.targets.front();
-      done.fence = true;
-      done.accepted = accept_cycle_.take(key(done.target), now);
-      done.completed = now;
-      ready_completions_.push_back(done);
+    if (builder_.empty() && issue_queue_.empty() &&
+        ledger_.outstanding() == 0) {
+      ledger_.retire_fence(arq_.pop().targets.front(), now);
       MAC3D_OBS_ACTIVITY(arq_last_work_, now);
-      MAC3D_OBS_ACTIVITY(last_work_, now);
     }
     return;
   }
@@ -155,16 +117,16 @@ void MacCoalescer::pop_stage(Cycle now) {
     item.bypass = !entry.is_atomic;
     issue_queue_.push_back(std::move(item));
     MAC3D_OBS_ACTIVITY(arq_last_work_, now);
-    MAC3D_OBS_ACTIVITY(last_work_, now);
+    ledger_.worked(now);
     return;
   }
 
   if (builder_.can_accept(now)) {
     ArqEntry entry = arq_.pop();
 #if MAC3D_OBS_ENABLED
-    if (sink_ != nullptr) {
+    if (EventSink* sink = ledger_.sink()) {
       for (const Target& target : entry.targets) {
-        sink_->on_stage(Stage::kBuilderPick, target.tid, target.tag, now);
+        sink->on_stage(Stage::kBuilderPick, target.tid, target.tag, now);
       }
     }
 #endif
@@ -172,7 +134,7 @@ void MacCoalescer::pop_stage(Cycle now) {
     next_pop_at_ = now + config_.arq_pop_interval;
     MAC3D_OBS_ACTIVITY(arq_last_work_, now);
     MAC3D_OBS_ACTIVITY(builder_last_work_, now);
-    MAC3D_OBS_ACTIVITY(last_work_, now);
+    ledger_.worked(now);
   }
 }
 
@@ -183,16 +145,16 @@ void MacCoalescer::issue_stage(Cycle now) {
     item.request = builder_.pop_output(now);
     item.ready_at = now;
 #if MAC3D_OBS_ENABLED
-    if (sink_ != nullptr) {
+    if (EventSink* sink = ledger_.sink()) {
       for (const Target& target : item.request.targets) {
-        sink_->on_stage(Stage::kFlitAlloc, target.tid, target.tag, now);
+        sink->on_stage(Stage::kFlitAlloc, target.tid, target.tag, now);
       }
     }
 #endif
     issue_queue_.push_back(std::move(item));
     MAC3D_OBS_ACTIVITY(builder_last_work_, now);
     MAC3D_OBS_ACTIVITY(flit_last_work_, now);
-    MAC3D_OBS_ACTIVITY(last_work_, now);
+    ledger_.worked(now);
   }
 
   // Dispatch at most one packet per cycle, subject to link back-pressure.
@@ -200,11 +162,8 @@ void MacCoalescer::issue_stage(Cycle now) {
   IssueItem& head = issue_queue_.front();
   if (head.ready_at > now || !device_.can_accept(head.request, now)) return;
 
-  head.request.id = next_txn_++;
   const std::uint32_t size = head.request.data_bytes;
-  device_.submit(std::move(head.request), now);
-  ++outstanding_;
-  ++stats_.packets_out;
+  ledger_.submit(device_, std::move(head.request), now);
   ++stats_.packets_by_size[size];
   if (head.atomic) {
     ++stats_.atomic_out;
@@ -215,71 +174,32 @@ void MacCoalescer::issue_stage(Cycle now) {
   }
   issue_queue_.pop_front();
   MAC3D_OBS_ACTIVITY(flit_last_work_, now);
-  MAC3D_OBS_ACTIVITY(last_work_, now);
 }
 
 void MacCoalescer::tick(Cycle now) {
-  assert(now >= last_tick_);
-  last_tick_ = now;
+  ledger_.on_tick(now);
   pop_stage(now);
   issue_stage(now);
 }
 
 const std::vector<CompletedAccess>& MacCoalescer::drain(Cycle now) {
-  std::vector<CompletedAccess>& out = drained_;
-  // Fence retirements (and any buffered completions) first.
-  out.assign(ready_completions_.begin(), ready_completions_.end());
-  ready_completions_.clear();
-
-  for (const HmcResponse& response : device_.drain(now)) {
-    assert(outstanding_ > 0);
-    --outstanding_;
-    for (const Target& target : response.targets) {
-      CompletedAccess done;
-      done.target = target;
-      done.write = response.write;
-      done.completed = response.completed;
-      done.accepted = accept_cycle_.take(key(target), response.completed);
-      stats_.raw_latency_cycles.add(
-          static_cast<double>(done.completed - done.accepted));
-      out.push_back(done);
-    }
-  }
-  stats_.completions += out.size();
-  if (!out.empty()) MAC3D_OBS_ACTIVITY(last_work_, now);
-#if MAC3D_OBS_ENABLED
-  if (sink_ != nullptr) {
-    for (const CompletedAccess& done : out) {
-      sink_->on_stage(Stage::kResponseMatch, done.target.tid, done.target.tag,
-                      done.completed);
-    }
-  }
-#endif
-#if MAC3D_CHECKS_ENABLED
-  if (conservation_ != nullptr) {
-    for (const CompletedAccess& done : out) {
-      conservation_->on_complete(done.target.tid, done.target.tag, done.fence,
-                                 now);
-    }
-  }
-#endif
-  return out;
+  return ledger_.drain(device_, now);
 }
 
 bool MacCoalescer::idle() const noexcept {
   return arq_.empty() && builder_.empty() && issue_queue_.empty() &&
-         outstanding_ == 0 && ready_completions_.empty();
+         ledger_.idle();
 }
 
 Cycle MacCoalescer::next_event(Cycle now) const noexcept {
   if (idle()) return 0;
   // Immediate work?
-  if (!ready_completions_.empty()) return now;
+  if (ledger_.has_ready()) return now;
   Cycle next = ~Cycle{0};
   if (!arq_.empty()) {
     const ArqEntry& head = arq_.front();
     if (head.is_fence && !(builder_.empty() && issue_queue_.empty() &&
-                           outstanding_ == 0)) {
+                           ledger_.outstanding() == 0)) {
       // Fence blocked on the device; wake at the next completion.
       if (device_.next_completion() != 0) {
         next = std::min(next, std::max(now + 1, device_.next_completion()));
@@ -296,7 +216,7 @@ Cycle MacCoalescer::next_event(Cycle now) const noexcept {
   if (!issue_queue_.empty()) {
     next = std::min(next, std::max(now + 1, issue_queue_.front().ready_at));
   }
-  if (outstanding_ > 0 && device_.next_completion() != 0) {
+  if (ledger_.outstanding() > 0 && device_.next_completion() != 0) {
     next = std::min(next, std::max(now + 1, device_.next_completion()));
   }
   return next == ~Cycle{0} ? now + 1 : next;

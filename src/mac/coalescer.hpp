@@ -13,64 +13,32 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/flat_cycle_map.hpp"
 #include "common/ring_queue.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "mac/arq.hpp"
+#include "mac/path_ledger.hpp"
 #include "mac/request_builder.hpp"
 #include "mem/hmc_device.hpp"
 
 namespace mac3d {
 
-class CheckContext;
-class ConservationChecker;
-class EventSink;
-
-/// One raw request's completion, de-coalesced from a packet response
-/// (or a retired fence).
-struct CompletedAccess {
-  Target target;
-  bool write = false;
-  bool fence = false;
-  bool atomic = false;
-  Cycle accepted = 0;   ///< cycle the raw request entered the MAC
-  Cycle completed = 0;  ///< cycle its data/ack became available
-};
-
+/// The MAC's own counters; intake, latency and completion counts live in
+/// its PathLedger.
 struct MacStats {
-  std::uint64_t raw_in = 0;      ///< loads + stores + atomics accepted
-  std::uint64_t fences_in = 0;
-  std::uint64_t packets_out = 0; ///< total HMC transactions dispatched
   std::uint64_t built_out = 0;   ///< via the Request Builder
   std::uint64_t bypass_out = 0;  ///< B-bit single-FLIT requests
   std::uint64_t atomic_out = 0;
-  std::uint64_t completions = 0;
   std::map<std::uint32_t, std::uint64_t> packets_by_size;
-  RunningStat raw_latency_cycles;  ///< per raw request, accept -> complete
-
-  /// Request-reduction ratio (paper Eq. 3 as used in Sec. 5.3.1):
-  /// 1 - (requests with MAC / raw requests without MAC).
-  [[nodiscard]] double coalescing_efficiency() const noexcept {
-    return raw_in == 0 ? 0.0
-                       : 1.0 - static_cast<double>(packets_out) /
-                                   static_cast<double>(raw_in);
-  }
-
-  void collect(StatSet& out, const std::string& prefix) const;
 };
 
 class MacCoalescer {
  public:
   MacCoalescer(const SimConfig& config, HmcDevice& device);
-  ~MacCoalescer();
-  MacCoalescer(const MacCoalescer&) = delete;
-  MacCoalescer& operator=(const MacCoalescer&) = delete;
 
   /// Space for one more raw request this cycle? (Conservative: a merge
   /// may still succeed when the queue is full — use try_accept.)
@@ -109,21 +77,14 @@ class MacCoalescer {
   // ---- Policy surface (DESIGN.md §policy): the members all four path
   // classes share, so run owners host every policy through one template.
   static constexpr CoalescerPolicy kPolicy = CoalescerPolicy::kMac;
-  /// Raw requests (loads + stores + atomics) accepted.
-  [[nodiscard]] std::uint64_t raw_in() const noexcept { return stats_.raw_in; }
-  /// Everything accepted that will complete: raw requests plus fences.
-  [[nodiscard]] std::uint64_t injected() const noexcept {
-    return stats_.raw_in + stats_.fences_in;
-  }
+  /// Intake counts, transaction ids, latency, completion counts and the
+  /// top census slot (`last_work`).
+  [[nodiscard]] const PathLedger& ledger() const noexcept { return ledger_; }
   /// Requests buffered at intake (the queue_occupancy probe): ARQ entries.
   [[nodiscard]] std::size_t occupancy() const noexcept { return arq_.size(); }
   /// Built/bypassed packets waiting on the link (the issue_backlog probe).
   [[nodiscard]] std::size_t issue_backlog() const noexcept {
     return issue_queue_.size();
-  }
-  /// Per raw request, accept -> complete.
-  [[nodiscard]] const RunningStat& raw_latency() const noexcept {
-    return stats_.raw_latency_cycles;
   }
   [[nodiscard]] std::map<std::uint32_t, std::uint64_t> packets_by_size()
       const {
@@ -133,15 +94,13 @@ class MacCoalescer {
   /// (templated on the census like HmcDevice::register_census).
   template <typename Census>
   void register_census(Census& census, const std::string& prefix) const {
-    census.add_stamp(prefix + "mac", last_work_);
+    ledger_.register_census(census, prefix + "mac");
     census.add_stamp(prefix + "arq", arq_last_work_);
     census.add_stamp(prefix + "builder", builder_last_work_);
     census.add_stamp(prefix + "flit_table", flit_last_work_);
   }
   /// Emit the path's stats under `prefix` + ".mac.*".
-  void collect(StatSet& out, const std::string& prefix) const {
-    stats_.collect(out, prefix + ".mac");
-  }
+  void collect(StatSet& out, const std::string& prefix) const;
   [[nodiscard]] const RequestBuilder& builder() const noexcept {
     return builder_;
   }
@@ -170,31 +129,7 @@ class MacCoalescer {
   /// queue_insert/merge at intake, builder_pick/flit_alloc through the
   /// pipeline and response_match at drain. The sink must outlive the
   /// coalescer; pass nullptr to detach.
-  void attach_sink(EventSink* sink) noexcept { sink_ = sink; }
-
-  // ---- Activity oracle (idle-cycle census, docs/OBSERVABILITY.md) --------
-  /// Any MAC stage did useful work at `now`: intake accepted, an ARQ
-  /// entry popped, the builder produced output, or a packet dispatched.
-  [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept {
-    return last_work_ == now;
-  }
-  /// Earliest future cycle the MAC could make progress (0 = drained) —
-  /// the oracle the planned event-driven engine consumes.
-  [[nodiscard]] Cycle next_activity_cycle(Cycle now) const noexcept {
-    return next_event(now);
-  }
-  /// Census stamp slots: the cycle the MAC, and each of its finer-grained
-  /// units, last did useful work.
-  [[nodiscard]] const Cycle& last_work() const noexcept { return last_work_; }
-  [[nodiscard]] const Cycle& arq_last_work() const noexcept {
-    return arq_last_work_;
-  }
-  [[nodiscard]] const Cycle& builder_last_work() const noexcept {
-    return builder_last_work_;
-  }
-  [[nodiscard]] const Cycle& flit_table_last_work() const noexcept {
-    return flit_last_work_;
-  }
+  void attach_sink(EventSink* sink) noexcept { ledger_.attach_sink(sink); }
 
  private:
   struct IssueItem {
@@ -204,10 +139,6 @@ class MacCoalescer {
     bool bypass = false;
   };
 
-  static std::uint64_t key(const Target& target) noexcept {
-    return request_key(target.tid, target.tag);
-  }
-
   void pop_stage(Cycle now);
   void issue_stage(Cycle now);
 
@@ -216,23 +147,14 @@ class MacCoalescer {
   Arq arq_;
   RequestBuilder builder_;
   RingQueue<IssueItem> issue_queue_;
-  std::vector<CompletedAccess> ready_completions_;
-  std::vector<CompletedAccess> drained_;  ///< drain()'s result, reused
-  FlatCycleMap accept_cycle_;
+  PathLedger ledger_;
   Cycle next_pop_at_ = 0;
-  Cycle last_tick_ = 0;
   Cycle merge_port_used_at_ = ~Cycle{0};  ///< dual-port intake bookkeeping
   Cycle alloc_port_used_at_ = ~Cycle{0};
-  Cycle last_work_ = ~Cycle{0};  ///< census slots (MAC3D_OBS_ACTIVITY)
-  Cycle arq_last_work_ = ~Cycle{0};
+  Cycle arq_last_work_ = ~Cycle{0};  ///< unit census slots
   Cycle builder_last_work_ = ~Cycle{0};
   Cycle flit_last_work_ = ~Cycle{0};
-  std::uint64_t outstanding_ = 0;
-  TransactionId next_txn_ = 1;
   MacStats stats_;
-  CheckContext* checks_ = nullptr;
-  EventSink* sink_ = nullptr;
-  std::unique_ptr<ConservationChecker> conservation_;
 };
 
 }  // namespace mac3d

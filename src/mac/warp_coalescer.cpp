@@ -3,21 +3,23 @@
 #include <algorithm>
 
 #include "check/invariants.hpp"
+#include "common/bitutil.hpp"
 
 namespace mac3d {
 
-void WarpStats::collect(StatSet& out, const std::string& prefix) const {
-  out.set(prefix + ".raw_in", static_cast<double>(raw_in));
-  out.set(prefix + ".fences_in", static_cast<double>(fences_in));
-  out.set(prefix + ".windows", static_cast<double>(windows));
-  out.set(prefix + ".packets_out", static_cast<double>(packets_out));
-  out.set(prefix + ".merged_lanes", static_cast<double>(merged_lanes));
-  out.set(prefix + ".replays", static_cast<double>(replays));
-  out.set(prefix + ".completions", static_cast<double>(completions));
-  out.set(prefix + ".coalescing_efficiency", coalescing_efficiency());
-  out.set(prefix + ".avg_raw_latency_cycles", raw_latency_cycles.mean());
-  for (const auto& [size, count] : packets_by_size) {
-    out.set(prefix + ".packets_" + std::to_string(size) + "B",
+void WarpCoalescer::collect(StatSet& out, const std::string& prefix) const {
+  const std::string base = prefix + ".warp";
+  ledger_.collect(out, base);
+  out.set(base + ".fences_in", static_cast<double>(ledger_.fences_in()));
+  out.set(base + ".windows", static_cast<double>(stats_.windows));
+  out.set(base + ".merged_lanes", static_cast<double>(stats_.merged_lanes));
+  out.set(base + ".replays", static_cast<double>(stats_.replays));
+  // Data completions only: retired fences are not counted here.
+  out.set(base + ".completions",
+          static_cast<double>(ledger_.data_completions()));
+  out.set(base + ".coalescing_efficiency", ledger_.coalescing_efficiency());
+  for (const auto& [size, count] : stats_.packets_by_size) {
+    out.set(base + ".packets_" + std::to_string(size) + "B",
             static_cast<double>(count));
   }
 }
@@ -31,8 +33,6 @@ WarpCoalescer::WarpCoalescer(const SimConfig& config, HmcDevice& device)
   config_.validate();
 }
 
-WarpCoalescer::~WarpCoalescer() = default;
-
 bool WarpCoalescer::try_accept(const RawRequest& request, Cycle now) {
   if (pending_.size() >= queue_capacity_) return false;
   if (accepts_at_ == now && accepts_this_cycle_ >= 2) return false;
@@ -42,19 +42,7 @@ bool WarpCoalescer::try_accept(const RawRequest& request, Cycle now) {
   }
   ++accepts_this_cycle_;
   pending_.push_back(Lane{request, now, false});
-  MAC3D_OBS_ACTIVITY(last_work_, now);
-  accept_cycle_.put(key(request), now);
-  if (request.op == MemOp::kFence) {
-    ++stats_.fences_in;
-  } else {
-    ++stats_.raw_in;
-  }
-  MAC3D_OBS_STAMP(sink_, Stage::kQueueInsert, request.tid, request.tag, now);
-#if MAC3D_CHECKS_ENABLED
-  if (conservation_ != nullptr) {
-    conservation_->on_accept(request.tid, request.tag, request.op, now);
-  }
-#endif
+  ledger_.accept(request, now);
   return true;
 }
 
@@ -92,11 +80,11 @@ void WarpCoalescer::form_window(Cycle now) {
     pending_.pop_front();
   }
   ++stats_.windows;
-  MAC3D_CHECK(checks_, inv::kWarpWindowBound,
+  MAC3D_CHECK(ledger_.checks(), inv::kWarpWindowBound,
               !window_.empty() && window_.size() <= lanes_, now,
               "formed a window of " + std::to_string(window_.size()) +
                   " lanes against a cap of " + std::to_string(lanes_));
-  MAC3D_OBS_ACTIVITY(last_work_, now);
+  ledger_.worked(now);
 }
 
 bool WarpCoalescer::issue_iteration(Cycle now) {
@@ -148,7 +136,7 @@ bool WarpCoalescer::issue_iteration(Cycle now) {
     request.targets.push_back(
         Target{req.tid, req.tag, static_cast<std::uint8_t>(flit)});
   }
-  MAC3D_CHECK(checks_, inv::kWarpPacketSpan,
+  MAC3D_CHECK(ledger_.checks(), inv::kWarpPacketSpan,
               request.data_bytes <= config_.warp_block_bytes &&
                   align_down(request.addr, config_.warp_block_bytes) ==
                       align_down(request.addr + request.data_bytes - 1,
@@ -157,16 +145,15 @@ bool WarpCoalescer::issue_iteration(Cycle now) {
   if (!device_.can_accept(request, now)) return false;
 
   const std::uint32_t packet_bytes = request.data_bytes;
-  request.id = next_txn_++;
-  device_.submit(std::move(request), now);
-  ++outstanding_;
-  ++stats_.packets_out;
+  ledger_.submit(device_, std::move(request), now);
   stats_.merged_lanes += merged.size() - 1;
   if (window_served_ > 0) ++stats_.replays;
   ++stats_.packets_by_size[packet_bytes];
-  MAC3D_OBS_STAMP(sink_, Stage::kBuilderPick, lead.tid, lead.tag, now);
+  MAC3D_OBS_STAMP(ledger_.sink(), Stage::kBuilderPick, lead.tid, lead.tag,
+                  now);
   for (std::size_t m = 1; m < merged.size(); ++m) {
-    MAC3D_OBS_STAMP(sink_, Stage::kMerge, window_[merged[m]].request.tid,
+    MAC3D_OBS_STAMP(ledger_.sink(), Stage::kMerge,
+                    window_[merged[m]].request.tid,
                     window_[merged[m]].request.tag, now);
   }
   for (const std::size_t i : merged) window_[i].served = true;
@@ -175,24 +162,18 @@ bool WarpCoalescer::issue_iteration(Cycle now) {
     window_.clear();
     window_served_ = 0;
   }
-  MAC3D_OBS_ACTIVITY(last_work_, now);
   return true;
 }
 
 void WarpCoalescer::tick(Cycle now) {
-  last_cycle_ = now;
+  ledger_.on_tick(now);
   // 1. Retire a head fence once the window and the device drained.
   if (unserved() == 0 && !pending_.empty() &&
-      pending_.front().request.op == MemOp::kFence && outstanding_ == 0) {
-    const Lane head = pending_.front();
-    CompletedAccess done;
-    done.target = Target{head.request.tid, head.request.tag, 0};
-    done.fence = true;
-    done.accepted = accept_cycle_.take(key(done.target), now);
-    done.completed = now;
-    ready_.push_back(done);
+      pending_.front().request.op == MemOp::kFence &&
+      ledger_.outstanding() == 0) {
+    const RawRequest& fence = pending_.front().request;
+    ledger_.retire_fence(Target{fence.tid, fence.tag, 0}, now);
     pending_.pop_front();
-    MAC3D_OBS_ACTIVITY(last_work_, now);
   }
   // 2. Move the head run into a window when full, fence-bounded or timed
   //    out.
@@ -203,46 +184,12 @@ void WarpCoalescer::tick(Cycle now) {
 }
 
 const std::vector<CompletedAccess>& WarpCoalescer::drain(Cycle now) {
-  std::vector<CompletedAccess>& out = drained_;
-  out.assign(ready_.begin(), ready_.end());
-  ready_.clear();
-  for (const HmcResponse& response : device_.drain(now)) {
-    --outstanding_;
-    for (const Target& target : response.targets) {
-      CompletedAccess done;
-      done.target = target;
-      done.write = response.write;
-      done.completed = response.completed;
-      done.accepted = accept_cycle_.take(key(target), response.completed);
-      stats_.raw_latency_cycles.add(
-          static_cast<double>(done.completed - done.accepted));
-      ++stats_.completions;
-      out.push_back(done);
-    }
-  }
-  if (!out.empty()) MAC3D_OBS_ACTIVITY(last_work_, now);
-#if MAC3D_OBS_ENABLED
-  if (sink_ != nullptr) {
-    for (const CompletedAccess& done : out) {
-      sink_->on_stage(Stage::kResponseMatch, done.target.tid, done.target.tag,
-                      done.completed);
-    }
-  }
-#endif
-#if MAC3D_CHECKS_ENABLED
-  if (conservation_ != nullptr) {
-    for (const CompletedAccess& done : out) {
-      conservation_->on_complete(done.target.tid, done.target.tag, done.fence,
-                                 now);
-    }
-  }
-#endif
-  return out;
+  return ledger_.drain(device_, now);
 }
 
 Cycle WarpCoalescer::next_event(Cycle now) const noexcept {
   if (idle()) return 0;
-  if (!ready_.empty()) return now;
+  if (ledger_.has_ready()) return now;
   if (unserved() > 0) return now + 1;
   if (!pending_.empty()) {
     const Lane& head = pending_.front();
@@ -252,13 +199,13 @@ Cycle WarpCoalescer::next_event(Cycle now) const noexcept {
       Cycle wake = (run >= lanes_ || terminated)
                        ? now + 1
                        : std::max(head.accepted + window_cycles_, now + 1);
-      if (outstanding_ != 0) {
+      if (ledger_.outstanding() != 0) {
         const Cycle completion = device_.next_completion();
         wake = std::min(wake, completion > now ? completion : now + 1);
       }
       return wake;
     }
-    if (outstanding_ == 0) return now + 1;
+    if (ledger_.outstanding() == 0) return now + 1;
   }
   const Cycle completion = device_.next_completion();
   return completion > now ? completion : now + 1;
@@ -266,15 +213,7 @@ Cycle WarpCoalescer::next_event(Cycle now) const noexcept {
 
 void WarpCoalescer::attach_checks(CheckContext* context,
                                   const std::string& scope) {
-  checks_ = context;
-  if (context == nullptr) {
-    conservation_.reset();
-    return;
-  }
-  conservation_ = std::make_unique<ConservationChecker>(*context, scope);
-  context->on_finalize([this](CheckContext&) {
-    if (conservation_ != nullptr) conservation_->finalize(last_cycle_);
-  });
+  ledger_.attach_checks(context, scope);
 }
 
 }  // namespace mac3d

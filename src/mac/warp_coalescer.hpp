@@ -12,50 +12,30 @@
 #include <cassert>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "check/check.hpp"
-#include "check/conservation.hpp"
-#include "common/bitutil.hpp"
 #include "common/config.hpp"
-#include "common/flat_cycle_map.hpp"
 #include "common/ring_queue.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "mac/coalescer.hpp"  // CompletedAccess
+#include "mac/path_ledger.hpp"
 #include "mem/hmc_device.hpp"
-#include "obs/obs.hpp"
 
 namespace mac3d {
 
+/// The warp policy's own counters; intake, latency and completion counts
+/// live in its PathLedger.
 struct WarpStats {
-  std::uint64_t raw_in = 0;       ///< loads + stores + atomics accepted
-  std::uint64_t fences_in = 0;
   std::uint64_t windows = 0;      ///< warp windows formed
-  std::uint64_t packets_out = 0;  ///< HMC transactions dispatched
   std::uint64_t merged_lanes = 0; ///< non-leader lanes riding a packet
   std::uint64_t replays = 0;      ///< extra iterations beyond the first
-  std::uint64_t completions = 0;  ///< raw completions delivered upstream
   std::map<std::uint32_t, std::uint64_t> packets_by_size;
-  RunningStat raw_latency_cycles;  ///< accept -> completion, per raw request
-
-  [[nodiscard]] double coalescing_efficiency() const noexcept {
-    return raw_in == 0 ? 0.0
-                       : 1.0 - static_cast<double>(packets_out) /
-                                   static_cast<double>(raw_in);
-  }
-
-  void collect(StatSet& out, const std::string& prefix) const;
 };
 
 class WarpCoalescer {
  public:
   WarpCoalescer(const SimConfig& config, HmcDevice& device);
-  ~WarpCoalescer();
-  WarpCoalescer(const WarpCoalescer&) = delete;
-  WarpCoalescer& operator=(const WarpCoalescer&) = delete;
 
   [[nodiscard]] bool can_accept() const noexcept {
     return pending_.size() < queue_capacity_;
@@ -80,8 +60,7 @@ class WarpCoalescer {
   const std::vector<CompletedAccess>& drain(Cycle now);
 
   [[nodiscard]] bool idle() const noexcept {
-    return pending_.empty() && window_.empty() && outstanding_ == 0 &&
-           ready_.empty();
+    return pending_.empty() && window_.empty() && ledger_.idle();
   }
 
   /// Earliest cycle at which tick()/drain() could do work (0 when idle).
@@ -91,10 +70,7 @@ class WarpCoalescer {
 
   // ---- Policy surface (MacCoalescer documents each member) --------------
   static constexpr CoalescerPolicy kPolicy = CoalescerPolicy::kWarp;
-  [[nodiscard]] std::uint64_t raw_in() const noexcept { return stats_.raw_in; }
-  [[nodiscard]] std::uint64_t injected() const noexcept {
-    return stats_.raw_in + stats_.fences_in;
-  }
+  [[nodiscard]] const PathLedger& ledger() const noexcept { return ledger_; }
   /// Raw requests buffered (intake FIFO + unserved window lanes).
   [[nodiscard]] std::size_t occupancy() const noexcept {
     return pending_.size() + unserved();
@@ -103,20 +79,15 @@ class WarpCoalescer {
   [[nodiscard]] std::size_t issue_backlog() const noexcept {
     return unserved();
   }
-  [[nodiscard]] const RunningStat& raw_latency() const noexcept {
-    return stats_.raw_latency_cycles;
-  }
   [[nodiscard]] std::map<std::uint32_t, std::uint64_t> packets_by_size()
       const {
     return stats_.packets_by_size;
   }
   template <typename Census>
   void register_census(Census& census, const std::string& prefix) const {
-    census.add_stamp(prefix + "warp", last_work_);
+    ledger_.register_census(census, prefix + "warp");
   }
-  void collect(StatSet& out, const std::string& prefix) const {
-    stats_.collect(out, prefix + ".warp");
-  }
+  void collect(StatSet& out, const std::string& prefix) const;
 
   /// Enable invariant checking (docs/INVARIANTS.md): request conservation
   /// plus the warp window/packet invariants. Same contract as
@@ -127,16 +98,7 @@ class WarpCoalescer {
   /// queue_insert at intake, builder_pick for the leader lane, merge for
   /// lanes riding its packet, response_match at drain. The sink must
   /// outlive the path; pass nullptr to detach.
-  void attach_sink(EventSink* sink) noexcept { sink_ = sink; }
-
-  // ---- Activity oracle (idle-cycle census, docs/OBSERVABILITY.md) --------
-  [[nodiscard]] bool did_work_this_cycle(Cycle now) const noexcept {
-    return last_work_ == now;
-  }
-  [[nodiscard]] const Cycle& last_work() const noexcept { return last_work_; }
-  [[nodiscard]] Cycle next_activity_cycle(Cycle now) const noexcept {
-    return next_event(now);
-  }
+  void attach_sink(EventSink* sink) noexcept { ledger_.attach_sink(sink); }
 
  private:
   struct Lane {
@@ -159,13 +121,6 @@ class WarpCoalescer {
   /// the packet (retry next cycle).
   bool issue_iteration(Cycle now);
 
-  static std::uint64_t key(const RawRequest& request) noexcept {
-    return request_key(request.tid, request.tag);
-  }
-  static std::uint64_t key(const Target& target) noexcept {
-    return request_key(target.tid, target.tag);
-  }
-
   const SimConfig config_;
   HmcDevice& device_;
   std::size_t queue_capacity_;
@@ -176,17 +131,8 @@ class WarpCoalescer {
   RingQueue<Lane> pending_;
   std::vector<Lane> window_;
   std::size_t window_served_ = 0;
-  FlatCycleMap accept_cycle_;
-  std::vector<CompletedAccess> ready_;
-  std::vector<CompletedAccess> drained_;  ///< drain()'s result, reused
-  std::uint64_t outstanding_ = 0;
-  TransactionId next_txn_ = 1;
-  Cycle last_cycle_ = 0;
-  Cycle last_work_ = ~Cycle{0};  ///< census slot (MAC3D_OBS_ACTIVITY)
+  PathLedger ledger_;
   WarpStats stats_;
-  CheckContext* checks_ = nullptr;
-  std::unique_ptr<ConservationChecker> conservation_;
-  EventSink* sink_ = nullptr;
 };
 
 }  // namespace mac3d

@@ -2,11 +2,10 @@
 // idle-cycle census over every tickable component and the host-side
 // wall-clock attribution for engine phases.
 //
-// The census is the measurement arm of the ROADMAP's event-driven
-// fast-forward engine: it forces each component to expose the Activity
-// oracle (`did_work_this_cycle` / `next_activity_cycle`) that engine will
-// consume, and turns "most cycles are dead time" into per-component
-// numbers. Census rows are read once per simulated cycle, after the
+// The census reads each component's `last_work` stamp (or busy threshold)
+// and turns "most cycles are dead time" into per-component numbers; the
+// event engine consumes the other half of the activity oracle,
+// `next_event`. Census rows are read once per simulated cycle, after the
 // cycle's work, so the cycle and event engines produce byte-identical
 // census exports.
 //

@@ -15,10 +15,10 @@
 //     surface reads as detached.
 //
 // A feed is any type with
-//   void tick(Cycle now);                  // the cycle's work
-//   bool drained() const;                  // nothing left to do, ever
-//   Cycle next_activity(Cycle now) const;  // asked after tick(now)
-// next_activity returns the earliest cycle > now at which the feed may do
+//   void tick(Cycle now);               // the cycle's work
+//   bool drained() const;               // nothing left to do, ever
+//   Cycle next_event(Cycle now) const;  // asked after tick(now)
+// next_event returns the earliest cycle > now at which the feed may do
 // work, or kNoActivity when it advertises none (the clock then steps one
 // cycle). run() is templated on the feed, so per-cycle calls stay direct.
 #pragma once
@@ -136,7 +136,7 @@ class Clock {
   template <typename Feed>
   Cycle next_cycle(const Feed& feed, Cycle now, Cycle max_cycles) {
     if (!event_) return now + 1;
-    Cycle next = std::max(now + 1, feed.next_activity(now));
+    Cycle next = std::max(now + 1, feed.next_event(now));
     // Snapshot boundaries are mandatory landing cycles: never skip over
     // one, so both engines sample every window at identical state.
     if (t_.snapshot != nullptr) {

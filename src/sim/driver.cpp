@@ -123,7 +123,7 @@ struct PathPort {
 
   /// Event-engine wake-up: the earlier of the feed's own `wake`
   /// (kNoActivity = none) and the path's next event.
-  [[nodiscard]] Cycle next_activity(Cycle now, Cycle wake) const {
+  [[nodiscard]] Cycle next_event(Cycle now, Cycle wake) const {
     const Cycle path_next = path.next_event(now);
     return path_next <= now ? wake : earlier(wake, path_next);
   }
@@ -204,7 +204,7 @@ class StreamingFeed {
 
   /// The earliest pending arrival; a thread stalled on tag-pool
   /// exhaustion wakes on a completion (a path event) instead.
-  [[nodiscard]] Cycle next_activity(Cycle now) const {
+  [[nodiscard]] Cycle next_event(Cycle now) const {
     Cycle wake = kNoActivity;
     for (std::uint32_t t = 0; t < port_.threads; ++t) {
       const Cursor& cursor = cursors_[t];
@@ -214,7 +214,7 @@ class StreamingFeed {
       if (cursor.arrive_at <= now) return now + 1;
       wake = earlier(wake, cursor.arrive_at);
     }
-    return port_.next_activity(now, wake);
+    return port_.next_event(now, wake);
   }
 
  private:
@@ -303,7 +303,7 @@ class ClosedLoopFeed {
 
   /// The earliest ready time of a thread blocked only on time (not on
   /// its occupancy window, which a completion — a path event — opens).
-  [[nodiscard]] Cycle next_activity(Cycle now) const {
+  [[nodiscard]] Cycle next_event(Cycle now) const {
     Cycle wake = kNoActivity;
     for (std::uint32_t t = 0; t < port_.threads; ++t) {
       const Cursor& cursor = cursors_[t];
@@ -313,7 +313,7 @@ class ClosedLoopFeed {
       if (cursor.ready_at <= now) return now + 1;
       wake = earlier(wake, cursor.ready_at);
     }
-    return port_.next_activity(now, wake);
+    return port_.next_event(now, wake);
   }
 
  private:
@@ -442,7 +442,7 @@ class LaneGroupFeed {
 
   /// The earliest gate of a group with unissued lanes; a fully issued
   /// group wakes on a completion (a path event).
-  [[nodiscard]] Cycle next_activity(Cycle now) const {
+  [[nodiscard]] Cycle next_event(Cycle now) const {
     Cycle wake = kNoActivity;
     for (const Group& group : groups_) {
       if (group.step >= group.steps) continue;
@@ -458,7 +458,7 @@ class LaneGroupFeed {
       if (at <= now) return now + 1;
       wake = earlier(wake, at);
     }
-    return port_.next_activity(now, wake);
+    return port_.next_event(now, wake);
   }
 
  private:
@@ -609,7 +609,7 @@ DriverResult run_path(const MemoryTrace& trace, const SimConfig& config,
     // "injected" counts everything that will eventually complete —
     // fences retire like requests, so they are folded in.
     snapshot->add_counter(SnapshotStreamer::kInjectedCounter,
-                          [&path] { return path.injected(); });
+                          [&path] { return path.ledger().injected(); });
     snapshot->add_counter(SnapshotStreamer::kCompletionsCounter,
                           [&port] { return port.completions; });
     snapshot->add_gauge("queue_occupancy", [&path] {
@@ -662,8 +662,8 @@ DriverResult run_path(const MemoryTrace& trace, const SimConfig& config,
   result.device_latency_sum = hmc.latency_cycles.sum();
   result.device_latency_avg = hmc.latency_cycles.mean();
   window.close(result);
-  result.raw_requests = path.raw_in();
-  result.avg_latency_cycles = path.raw_latency().mean();
+  result.raw_requests = path.ledger().raw_in();
+  result.avg_latency_cycles = path.ledger().raw_latency().mean();
   result.packets_by_size = path.packets_by_size();
   if constexpr (std::is_same_v<Path, MacCoalescer>) {
     result.avg_targets_per_entry = path.arq().stats().targets_per_entry.mean();

@@ -57,12 +57,12 @@ enum class Engine {
   /// Strict cycle loop: ticks every component every cycle. The reference
   /// scheduler the differential suite compares the event engine against.
   kSerial,
-  /// Event-driven fast-forward (the default): the Activity oracle
-  /// (`next_activity_cycle`, src/obs/profiler.hpp) is the scheduling
-  /// contract — the driver jumps the clock to the minimum next-activity
-  /// cycle instead of ticking dead cycles, crediting the skipped span to
-  /// the census/sampler before the landing tick so every export stays
-  /// byte-identical to kSerial.
+  /// Event-driven fast-forward (the default): the activity oracle
+  /// (`next_event`, src/sim/clock.hpp) is the scheduling contract — the
+  /// driver jumps the clock to the minimum next-event cycle instead of
+  /// ticking dead cycles, crediting the skipped span to the census/sampler
+  /// before the landing tick so every export stays byte-identical to
+  /// kSerial.
   kEvent,
 };
 

@@ -40,12 +40,6 @@ class PathAdapter final : public MemoryPath {
   [[nodiscard]] Cycle next_event(Cycle now) const override {
     return path_.next_event(now);
   }
-  [[nodiscard]] bool did_work_this_cycle(Cycle now) const override {
-    return path_.did_work_this_cycle(now);
-  }
-  [[nodiscard]] Cycle next_activity_cycle(Cycle now) const override {
-    return path_.next_activity_cycle(now);
-  }
   void attach_checks(CheckContext* context,
                      const std::string& scope_prefix) override {
     path_.attach_checks(context, scope_prefix + name());

@@ -17,7 +17,7 @@
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "mac/coalescer.hpp"  // CompletedAccess
+#include "mac/path_ledger.hpp"  // CompletedAccess
 
 namespace mac3d {
 
@@ -42,11 +42,8 @@ class MemoryPath {
   /// drain() on this path.
   virtual const std::vector<CompletedAccess>& drain(Cycle now) = 0;
   [[nodiscard]] virtual bool idle() const = 0;
+  /// The activity oracle (docs/PARALLELISM.md §event-driven engine).
   [[nodiscard]] virtual Cycle next_event(Cycle now) const = 0;
-
-  // ---- Activity oracle (docs/PARALLELISM.md §event-driven engine) --------
-  [[nodiscard]] virtual bool did_work_this_cycle(Cycle now) const = 0;
-  [[nodiscard]] virtual Cycle next_activity_cycle(Cycle now) const = 0;
 
   /// Attach invariant checking; `scope_prefix` is the owner's namespace
   /// ("node0."), to which the path appends its name().

@@ -1,5 +1,5 @@
 // Conforming counterpart to tickable_no_oracle.hpp: the tickable widget
-// advertises the full activity-oracle pair.
+// advertises the activity oracle.
 #pragma once
 
 namespace mini {
@@ -9,8 +9,7 @@ using Cycle = unsigned long long;
 class Widget {
  public:
   void tick(Cycle now) { last_ = now; }
-  bool did_work_this_cycle(Cycle now) const { return last_ == now; }
-  Cycle next_activity_cycle(Cycle) const { return 0; }
+  Cycle next_event(Cycle) const { return 0; }
 
  private:
   Cycle last_ = 0;

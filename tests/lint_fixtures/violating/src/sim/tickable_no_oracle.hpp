@@ -1,6 +1,6 @@
 // det.activity_oracle: a tickable component that never advertises the
-// did_work_this_cycle / next_activity_cycle pair the event-driven engine
-// and the idle census consume.
+// next_event oracle the event-driven engine consumes (the name in this
+// comment is not a token, so the rule still fires).
 #pragma once
 
 namespace mini {

@@ -1,11 +1,12 @@
 // Oracle property suite for the event-driven fast-forward engine
 // (docs/PARALLELISM.md §event-driven engine). Every tickable unit
-// advertises `next_event` / `next_activity_cycle`; the engine's
-// correctness rests on two properties this file fuzzes directly:
+// advertises `next_event`; the engine's correctness rests on two
+// properties this file fuzzes directly, for all four memory paths:
 //
 //  1. No early work: after tick(now), the unit does no observable work at
-//     any cycle strictly before the advertised next-activity cycle unless
-//     new input arrives first.
+//     any cycle strictly before the advertised next-event cycle unless
+//     new input arrives first. "Work" is a drained completion or the
+//     census stamp `ledger().last_work() == now`.
 //  2. Jump completeness: ticking ONLY at advertised cycles (plus input
 //     cycles) produces bit-identical completions and stats to ticking
 //     every cycle — skipped cycles were provably dead.
@@ -26,6 +27,7 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "mac/coalescer.hpp"
+#include "mac/warp_coalescer.hpp"
 #include "mem/hmc_device.hpp"
 #include "sim/raw_path.hpp"
 
@@ -87,7 +89,7 @@ void log_completions(const std::vector<CompletedAccess>& done, Cycle now,
 
 /// Strict cycle-by-cycle run: feeds due requests (with router-style
 /// retry), ticks every cycle, and asserts the no-early-work property
-/// against the unit's advertised next-activity cycle. Writes the
+/// against the unit's advertised next-event cycle. Writes the
 /// completion log to `*log`; `drained_at` reports the last cycle touched.
 template <typename Path>
 void run_strict(Path& path, const std::vector<FeedItem>& feed,
@@ -125,14 +127,14 @@ void run_strict(Path& path, const std::vector<FeedItem>& feed,
     const std::vector<CompletedAccess> done = path.drain(now);
     log_completions(done, now, log);
 #if MAC3D_OBS_ENABLED
-    const bool work = path.did_work_this_cycle(now) || !done.empty();
+    const bool work = path.ledger().last_work() == now || !done.empty();
 #else
     const bool work = !done.empty();
 #endif
     if (work && !fed) {
       EXPECT_GE(now, promise)
           << "observable work at cycle " << now
-          << " before the advertised next-activity cycle " << promise;
+          << " before the advertised next-event cycle " << promise;
     }
     const Cycle next = path.next_event(now);
     if (next == 0) {
@@ -150,7 +152,7 @@ void run_strict(Path& path, const std::vector<FeedItem>& feed,
 }
 
 /// Oracle-jumped run: identical feed, but the clock jumps straight to
-/// min(advertised next activity, next feed cycle, retry). Completions
+/// min(advertised next event, next feed cycle, retry). Completions
 /// must be bit-identical to the strict run.
 template <typename Path>
 std::string run_jumped(Path& path, const std::vector<FeedItem>& feed) {
@@ -198,7 +200,7 @@ void expect_silent(Path& path, Cycle from) {
     path.tick(now);
     EXPECT_TRUE(path.drain(now).empty());
 #if MAC3D_OBS_ENABLED
-    EXPECT_FALSE(path.did_work_this_cycle(now));
+    EXPECT_NE(path.ledger().last_work(), now);
 #endif
     EXPECT_EQ(path.next_event(now), 0u);
     EXPECT_TRUE(path.idle());
@@ -261,6 +263,24 @@ TEST_P(OracleFuzz, MshrCoalescerOracleIsSoundAndComplete) {
   EXPECT_FALSE(expected.empty());
 }
 
+TEST_P(OracleFuzz, WarpCoalescerOracleIsSoundAndComplete) {
+  const std::vector<FeedItem> feed = make_feed(GetParam() * 71 + 13, 400);
+  SimConfig config;
+
+  HmcDevice strict_device(config, 0);
+  WarpCoalescer strict(config, strict_device);
+  Cycle drained_at = 0;
+  std::string expected;
+  run_strict(strict, feed, &expected, &drained_at);
+  if (::testing::Test::HasFatalFailure()) return;
+  expect_silent(strict, drained_at);
+
+  HmcDevice jumped_device(config, 0);
+  WarpCoalescer jumped(config, jumped_device);
+  EXPECT_EQ(expected, run_jumped(jumped, feed));
+  EXPECT_FALSE(expected.empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, OracleFuzz,
                          ::testing::Values(1ull, 2ull, 3ull, 5ull, 8ull,
                                            13ull, 21ull, 34ull));
@@ -318,6 +338,11 @@ TEST(DrainedOracle, FreshUnitsAdvertiseZeroAndStaySilent) {
   MshrCoalescer mshr(config, mshr_device, 32, 64);
   EXPECT_EQ(mshr.next_event(0), 0u);
   expect_silent(mshr, 0);
+
+  HmcDevice warp_device(config, 0);
+  WarpCoalescer warp(config, warp_device);
+  EXPECT_EQ(warp.next_event(0), 0u);
+  expect_silent(warp, 0);
 }
 
 }  // namespace

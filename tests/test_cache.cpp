@@ -125,7 +125,7 @@ TEST_F(MshrTest, MergesSameBlock) {
   ++now;  // merge port is per-cycle
   ASSERT_TRUE(mshr_.try_accept(b, now));
   settle(now);
-  EXPECT_EQ(mshr_.stats().packets_out, 1u);
+  EXPECT_EQ(mshr_.ledger().packets_out(), 1u);
   EXPECT_EQ(mshr_.stats().merged, 1u);
   EXPECT_EQ(completions_, 2u);
 }
@@ -141,7 +141,7 @@ TEST_F(MshrTest, AlwaysDispatches64B) {
     ++now;
   }
   settle(now);
-  EXPECT_EQ(mshr_.stats().packets_out, 4u);
+  EXPECT_EQ(mshr_.ledger().packets_out(), 4u);
   EXPECT_EQ(device_.stats().data_bytes, 4u * 64);
 }
 
@@ -157,7 +157,7 @@ TEST_F(MshrTest, LoadsAndStoresDoNotMerge) {
   ++now;
   ASSERT_TRUE(mshr_.try_accept(store, now));
   settle(now);
-  EXPECT_EQ(mshr_.stats().packets_out, 2u);
+  EXPECT_EQ(mshr_.ledger().packets_out(), 2u);
 }
 
 TEST_F(MshrTest, FenceDrainsBeforeRetiring) {
@@ -189,7 +189,7 @@ TEST_F(MshrTest, AtomicBypassesMerging) {
   ++now;
   ASSERT_TRUE(mshr_.try_accept(amo2, now));
   settle(now);
-  EXPECT_EQ(mshr_.stats().packets_out, 2u);  // never merged
+  EXPECT_EQ(mshr_.ledger().packets_out(), 2u);  // never merged
   EXPECT_EQ(device_.stats().atomics, 2u);
 }
 
@@ -206,7 +206,7 @@ TEST_F(MshrTest, CapacityRejectsAllocation) {
   }
   // The file has 32 entries; some dispatch+complete may free a few, but
   // well under 64 distinct blocks can be outstanding at once.
-  EXPECT_LE(mshr_.stats().packets_out + 32, 64u);
+  EXPECT_LE(mshr_.ledger().packets_out() + 32, 64u);
   settle(now);
   EXPECT_EQ(completions_, accepted);
 }

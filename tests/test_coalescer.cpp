@@ -45,7 +45,7 @@ TEST_F(CoalescerTest, PairMergesIntoOnePacketServingBothThreads) {
   ASSERT_TRUE(mac_.try_accept(make(0xA10, MemOp::kLoad, 1, 1), now));
   const auto done = settle(now);
   ASSERT_EQ(done.size(), 2u);
-  EXPECT_EQ(mac_.stats().packets_out, 1u);
+  EXPECT_EQ(mac_.ledger().packets_out(), 1u);
   EXPECT_EQ(mac_.stats().built_out, 1u);
   EXPECT_EQ(mac_.stats().packets_by_size.at(64), 1u);
   // Both threads answered at the same cycle by the same packet.
@@ -69,8 +69,8 @@ TEST_F(CoalescerTest, RowBurstCoalescesAcrossThreads) {
   }
   for (auto& c : settle(now)) done.push_back(c);
   EXPECT_EQ(done.size(), 16u);
-  EXPECT_LT(mac_.stats().packets_out, 16u);
-  EXPECT_GT(mac_.stats().coalescing_efficiency(), 0.4);
+  EXPECT_LT(mac_.ledger().packets_out(), 16u);
+  EXPECT_GT(mac_.ledger().coalescing_efficiency(), 0.4);
 }
 
 TEST_F(CoalescerTest, DualPortAcceptsOneMergeOneAllocPerCycle) {
@@ -125,7 +125,7 @@ TEST_F(CoalescerTest, EveryRawRequestGetsExactlyOneCompletion) {
   for (const auto& [key, count] : seen) {
     EXPECT_EQ(count, 1) << "key " << key;
   }
-  EXPECT_EQ(mac_.stats().completions, 200u);
+  EXPECT_EQ(mac_.ledger().completions(), 200u);
 }
 
 TEST_F(CoalescerTest, FenceWaitsForAllPriorRequests) {
@@ -151,7 +151,7 @@ TEST_F(CoalescerTest, FenceWaitsForAllPriorRequests) {
   EXPECT_GT(fence_done, 0u);
   EXPECT_GE(fence_done, load_done);        // fence after the prior load
   EXPECT_GT(second_load_done, fence_done); // later op after the fence
-  EXPECT_EQ(mac_.stats().fences_in, 1u);
+  EXPECT_EQ(mac_.ledger().fences_in(), 1u);
 }
 
 TEST_F(CoalescerTest, AtomicGoesStraightThroughUncoalesced) {
@@ -162,7 +162,7 @@ TEST_F(CoalescerTest, AtomicGoesStraightThroughUncoalesced) {
   settle(now);
   EXPECT_EQ(mac_.stats().atomic_out, 2u);
   EXPECT_EQ(device_.stats().atomics, 2u);
-  EXPECT_EQ(mac_.stats().packets_out, 2u);
+  EXPECT_EQ(mac_.ledger().packets_out(), 2u);
 }
 
 TEST_F(CoalescerTest, BuilderPopCadenceIsTwoCycles) {
@@ -185,7 +185,7 @@ TEST_F(CoalescerTest, LatencyIsMeasuredPerRawRequest) {
   Cycle now = 0;
   mac_.accept(make(0xA00, MemOp::kLoad, 0, 1), now);
   settle(now);
-  const double latency = mac_.stats().raw_latency_cycles.mean();
+  const double latency = mac_.ledger().raw_latency().mean();
   // Bypass path: ~93 ns device latency plus a few MAC cycles.
   EXPECT_GT(latency, 250.0);
   EXPECT_LT(latency, 400.0);
@@ -213,9 +213,9 @@ TEST_F(CoalescerTest, CoalescingEfficiencyMatchesDefinition) {
   ASSERT_TRUE(mac_.try_accept(make(0xA00, MemOp::kLoad, 0, 1), now));
   ASSERT_TRUE(mac_.try_accept(make(0xA40, MemOp::kLoad, 1, 1), now));
   settle(now);
-  EXPECT_EQ(mac_.stats().raw_in, 2u);
-  EXPECT_EQ(mac_.stats().packets_out, 1u);
-  EXPECT_DOUBLE_EQ(mac_.stats().coalescing_efficiency(), 0.5);
+  EXPECT_EQ(mac_.ledger().raw_in(), 2u);
+  EXPECT_EQ(mac_.ledger().packets_out(), 1u);
+  EXPECT_DOUBLE_EQ(mac_.ledger().coalescing_efficiency(), 0.5);
 }
 
 }  // namespace

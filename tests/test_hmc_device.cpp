@@ -416,7 +416,7 @@ TEST_P(BusyThresholdProperty, KeptThresholdsEqualBankScan) {
             EXPECT_EQ(device.vault_busy_fraction(v, now), 0.0);
           }
         }
-        EXPECT_EQ(device.did_work_this_cycle(now),
+        EXPECT_EQ(now < device.banks_busy_until(),
                   device.banks_busy_fraction(now) > 0.0);
       }
       device.reset();  // round 2 replays from a zeroed device
