@@ -5,10 +5,12 @@
 #include <cstdlib>
 #include <functional>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/bitutil.hpp"
+#include "common/parse_number.hpp"
 
 namespace mac3d {
 namespace {
@@ -379,5 +381,22 @@ std::string SimConfig::to_table() const {
       << builder_max_bytes << "B\n";
   return out.str();
 }
+
+template <typename T>
+T env_number(const char* name, T fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  T value{};
+  if (!parse_number(raw, value) || !(value > 0)) {
+    throw ConfigError(std::string(name) + " must be a positive " +
+                      (std::is_floating_point_v<T> ? "finite number"
+                                                   : "integer") +
+                      ", got '" + raw + "'");
+  }
+  return value;
+}
+
+template double env_number<double>(const char*, double);
+template std::uint32_t env_number<std::uint32_t>(const char*, std::uint32_t);
 
 }  // namespace mac3d

@@ -141,4 +141,11 @@ struct SimConfig {
   [[nodiscard]] std::map<std::string, std::string> to_kv() const;
 };
 
+/// The positive number environment variable `name` holds (double or
+/// std::uint32_t), or `fallback` when it is unset or empty. Any other
+/// value (text, a sign, zero, inf, nan, trailing characters, overflow)
+/// throws ConfigError naming the variable.
+template <typename T>
+[[nodiscard]] T env_number(const char* name, T fallback);
+
 }  // namespace mac3d

@@ -73,7 +73,9 @@ struct WorkloadRun {
 [[nodiscard]] std::vector<WorkloadRun> run_suite(const SuiteOptions& options);
 
 /// Workload scale from MAC3D_SCALE (default 1.0; the benches honour it so
-/// users can approach paper-sized runs).
+/// users can approach paper-sized runs). These three env readers go
+/// through env_number: a value that is not a positive number throws
+/// ConfigError naming the variable.
 [[nodiscard]] double env_scale();
 
 /// Thread count from MAC3D_THREADS (default = `fallback`).

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
@@ -78,13 +79,32 @@ TEST(Experiment, MshrPathOptIn) {
   EXPECT_GT(runs[0].mshr.packets, 0u);
 }
 
+/// The ConfigError message `read` throws, or "" when it returns.
+template <typename Read>
+std::string env_error(Read read) {
+  try {
+    static_cast<void>(read());
+  } catch (const ConfigError& error) {
+    return error.what();
+  }
+  return "";
+}
+
 TEST(Experiment, EnvScaleParsesAndDefaults) {
   ::unsetenv("MAC3D_SCALE");
   EXPECT_DOUBLE_EQ(env_scale(), 1.0);
+  ::setenv("MAC3D_SCALE", "", 1);
+  EXPECT_DOUBLE_EQ(env_scale(), 1.0);
   ::setenv("MAC3D_SCALE", "0.25", 1);
   EXPECT_DOUBLE_EQ(env_scale(), 0.25);
-  ::setenv("MAC3D_SCALE", "garbage", 1);
-  EXPECT_DOUBLE_EQ(env_scale(), 1.0);
+  // Anything but one finite positive number is an error naming the
+  // variable, never a silent 1.0 or an infinite scale.
+  for (const char* bad : {"garbage", "inf", "nan", "-1", "0", "0.5x", "1e999",
+                          " 1", "+1"}) {
+    ::setenv("MAC3D_SCALE", bad, 1);
+    EXPECT_NE(env_error(env_scale).find("MAC3D_SCALE"), std::string::npos)
+        << bad;
+  }
   ::unsetenv("MAC3D_SCALE");
 }
 
@@ -93,9 +113,27 @@ TEST(Experiment, EnvThreadsParsesAndDefaults) {
   EXPECT_EQ(env_threads(8), 8u);
   ::setenv("MAC3D_THREADS", "4", 1);
   EXPECT_EQ(env_threads(8), 4u);
-  ::setenv("MAC3D_THREADS", "-1", 1);
-  EXPECT_EQ(env_threads(8), 8u);
+  for (const char* bad : {"-1", "0", "4.5", "abc", "4096x", "4294967296"}) {
+    ::setenv("MAC3D_THREADS", bad, 1);
+    EXPECT_NE(env_error([] { return env_threads(8); }).find("MAC3D_THREADS"),
+              std::string::npos)
+        << bad;
+  }
   ::unsetenv("MAC3D_THREADS");
+}
+
+TEST(Experiment, EnvJobsParsesAndDefaults) {
+  ::unsetenv("MAC3D_JOBS");
+  EXPECT_EQ(env_jobs(1), 1u);
+  ::setenv("MAC3D_JOBS", "3", 1);
+  EXPECT_EQ(env_jobs(1), 3u);
+  for (const char* bad : {"-2", "0", "two", "3 "}) {
+    ::setenv("MAC3D_JOBS", bad, 1);
+    EXPECT_NE(env_error([] { return env_jobs(1); }).find("MAC3D_JOBS"),
+              std::string::npos)
+        << bad;
+  }
+  ::unsetenv("MAC3D_JOBS");
 }
 
 TEST(Experiment, DefaultOptionsAreValid) {
