@@ -1,6 +1,6 @@
 // The model-invariant checking subsystem (src/check/, docs/INVARIANTS.md):
 //  * every workload generator replays clean through the fully-checked MAC;
-//  * randomized trace fuzzing across all three paths and both feed modes;
+//  * randomized trace fuzzing across all four paths and both feed modes;
 //  * the multi-node system (routers included) runs clean;
 //  * deliberately injected model bugs (dropped target, inflated overhead,
 //    truncated packet) are caught by the matching invariant;
@@ -121,9 +121,11 @@ TEST(InvariantReplay, RandomTraceFuzzAllPathsBothFeedModes) {
       const DriverResult mac = run_mac(trace, config, 4, options);
       const DriverResult raw = run_raw(trace, config, 4, options);
       const DriverResult mshr = run_mshr(trace, config, 4, 32, 64, options);
+      const DriverResult warp = run_warp(trace, config, 4, options);
       EXPECT_GT(mac.checks_run, 0u);
+      EXPECT_GT(warp.checks_run, 0u);
       EXPECT_EQ(mac.check_violations + raw.check_violations +
-                    mshr.check_violations,
+                    mshr.check_violations + warp.check_violations,
                 0u)
           << "seed " << seed << "\n" << context.report();
     }
