@@ -497,7 +497,7 @@ int cmd_run(const CliOptions& cli) {
   // shards them across a worker pool — unless shared telemetry/check
   // state forces the one-at-a-time schedule (docs/PARALLELISM.md).
   const std::uint32_t jobs =
-      options.jobs == 0 ? ParallelStepper::env_jobs(1) : options.jobs;
+      options.jobs == 0 ? env_jobs(1) : options.jobs;
   const bool hooks_attached = options.checks || want_tracer ||
                               want_sampler || want_snapshot ||
                               options.profile;

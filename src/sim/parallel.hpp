@@ -46,9 +46,6 @@ class ParallelStepper {
   /// the task list.
   void run_tasks(const std::vector<std::function<void()>>& tasks);
 
-  /// Worker count the environment asks for (MAC3D_JOBS, else `fallback`).
-  [[nodiscard]] static std::uint32_t env_jobs(std::uint32_t fallback = 1);
-
  private:
   void work();
   void worker_loop();
