@@ -93,7 +93,9 @@ Cycle HmcDevice::submit(HmcRequest request, Cycle now) {
     fault_ = Fault::kNone;
   }
 
-  // Request path: link serialization -> SerDes -> vault controller.
+  // Request path: link serialization -> SerDes -> vault controller. The
+  // busy thresholds (link, then vault and banks) move from here on.
+  ++threshold_epoch_;
   const std::uint32_t vault = map_.vault_of(row);
   Link& link = links_[link_of(vault)];
   const Cycle at_device = link.send_request(now, req_flits) + config_.t_serdes;
@@ -250,6 +252,7 @@ void HmcDevice::reset() {
   for (Link& link : links_) link.reset();
   std::fill(vault_busy_until_.begin(), vault_busy_until_.end(), Cycle{0});
   banks_busy_until_ = 0;
+  ++threshold_epoch_;
   for (RingQueue<HmcResponse>& fifo : pending_) fifo.clear();
   in_flight_ = 0;
   earliest_ = 0;

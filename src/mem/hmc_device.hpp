@@ -132,7 +132,8 @@ class HmcDevice {
   // the event engine fast-forwards (no submits happen mid-span), so the
   // active cycles inside a skipped span are exactly countable — that is
   // what keeps the census byte-identical between the cycle and event
-  // engines. The references stay valid for the device's lifetime.
+  // engines. Every write bumps threshold_epoch(), the census's cue to
+  // re-read them. The references stay valid for the device's lifetime.
   /// Cycle the last busy bank frees (0 = all banks idle).
   [[nodiscard]] const Cycle& banks_busy_until() const noexcept {
     return banks_busy_until_;
@@ -147,23 +148,29 @@ class HmcDevice {
       std::uint32_t link) const noexcept {
     return links_[link].request_free_at();
   }
+  /// Bumped by every write to a busy threshold (submit and reset).
+  [[nodiscard]] std::uint64_t threshold_epoch() const noexcept {
+    return threshold_epoch_;
+  }
 
   /// Register this device's idle-cycle census threshold rows under
   /// `prefix` (e.g. "node0."): `<prefix>banks`, `<prefix>vault<V>` and
-  /// `<prefix>link<L>`. Templated on the census (normally obs's
-  /// ActivityCensus — mem avoids the link dependency). The device must
+  /// `<prefix>link<L>`, one group under threshold_epoch(). Templated on
+  /// the census (normally obs's ActivityCensus — mem avoids the link
+  /// dependency). The device must
   /// outlive the census's observed run; seal the census before tearing
   /// the device down.
   template <typename Census>
   void register_census(Census& census, const std::string& prefix) const {
-    census.add_threshold(prefix + "banks", banks_busy_until());
+    census.add_threshold(prefix + "banks", banks_busy_until(),
+                         &threshold_epoch_);
     for (std::uint32_t v = 0; v < vault_count(); ++v) {
       census.add_threshold(prefix + "vault" + std::to_string(v),
-                           vault_busy_until(v));
+                           vault_busy_until(v), &threshold_epoch_);
     }
     for (std::uint32_t l = 0; l < link_count(); ++l) {
       census.add_threshold(prefix + "link" + std::to_string(l),
-                           link_request_free_at(l));
+                           link_request_free_at(l), &threshold_epoch_);
     }
   }
 
@@ -218,6 +225,7 @@ class HmcDevice {
   // Busy thresholds kept at submit; last, so the hot layout is unchanged.
   std::vector<Cycle> vault_busy_until_;  ///< per vault: max bank free_at
   Cycle banks_busy_until_ = 0;           ///< max over vault_busy_until_
+  std::uint64_t threshold_epoch_ = 0;    ///< see threshold_epoch()
 };
 
 }  // namespace mac3d

@@ -8,6 +8,14 @@
 #include "obs/registry.hpp"
 
 namespace mac3d {
+namespace {
+
+/// Cycles of [from, upto) below `threshold`.
+Cycle credit(Cycle threshold, Cycle from, Cycle upto) noexcept {
+  return threshold > from ? std::min(threshold, upto) - from : 0;
+}
+
+}  // namespace
 
 // The one sanctioned host-clock read in src/ (docs/STATIC_ANALYSIS.md:
 // det.wall_clock exempts this file). Everything downstream consumes the
@@ -17,10 +25,9 @@ double host_now_seconds() {
   return std::chrono::duration<double>(now).count();
 }
 
-std::size_t ActivityCensus::add_row(std::string name, Cell cell) {
-  const std::size_t index = cells_.size();
+std::size_t ActivityCensus::add_row(std::string name) {
+  const std::size_t index = rows_.size();
   rows_.push_back({std::move(name), 0, 0});
-  cells_.push_back(cell);
   active_.push_back(0);
   base_.push_back(observed_cycles_);
   return index;
@@ -29,21 +36,58 @@ std::size_t ActivityCensus::add_row(std::string name, Cell cell) {
 std::size_t ActivityCensus::add_component(std::string name, Probe probe) {
   ProbeRow& row = probes_.emplace_back();
   row.probe = std::move(probe);
-  return add_row(std::move(name), {&row.stamp, Kind::kStamp});
+  return add_stamp(std::move(name), row.stamp);
 }
 
 std::size_t ActivityCensus::add_stamp(std::string name,
                                       const Cycle& last_work) {
-  return add_row(std::move(name), {&last_work, Kind::kStamp});
+  const std::size_t row = add_row(std::move(name));
+  stamps_.push_back({&last_work, row});
+  return row;
 }
 
 std::size_t ActivityCensus::add_threshold(std::string name,
-                                          const Cycle& busy_until) {
-  return add_row(std::move(name), {&busy_until, Kind::kThreshold});
+                                          const Cycle& busy_until,
+                                          const std::uint64_t* epoch) {
+  const Cycle from = next_unobserved();
+  if (epoch == nullptr || groups_.empty() || groups_.back().epoch != epoch) {
+    groups_.push_back({epoch, 0, from, thresholds_.size(), thresholds_.size()});
+  }
+  // Read the group afresh with the new row in it; its cache starts at 0,
+  // so the credit settled first books it nothing.
+  const std::size_t row = add_row(std::move(name));
+  thresholds_.push_back({&busy_until, row});
+  ++groups_.back().last;
+  reread(groups_.back(), from);
+  return row;
 }
 
 std::size_t ActivityCensus::add_feeder(std::string name) {
   return add_stamp(std::move(name), *feeder_marked_at_);
+}
+
+void ActivityCensus::settle(Group& group, Cycle upto) {
+  for (std::size_t i = group.first; i < group.last; ++i) {
+    const Cell& cell = thresholds_[i];
+    active_[cell.row] += credit(cell.cached, group.pending_from, upto);
+  }
+  group.pending_from = upto;
+}
+
+void ActivityCensus::reread(Group& group, Cycle from) {
+  settle(group, from);
+  for (std::size_t i = group.first; i < group.last; ++i) {
+    thresholds_[i].cached = *thresholds_[i].at;
+  }
+  if (group.epoch != nullptr) group.seen = *group.epoch;
+}
+
+void ActivityCensus::reread_moved(Cycle from) {
+  for (Group& group : groups_) {
+    if (group.epoch == nullptr || *group.epoch != group.seen) {
+      reread(group, from);
+    }
+  }
 }
 
 void ActivityCensus::observe(Cycle now) {
@@ -54,12 +98,16 @@ void ActivityCensus::observe(Cycle now) {
   // Cycles the engine skipped (or never visited) are idle for everyone:
   // the driver only jumps over cycles where provably nothing happens.
   // Idle counts are derived in rows(), so only actives are booked here.
-  const std::uint64_t gap = observed_any_ ? now - last_observed_ - 1 : now;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    const Cycle at = *cells_[i].at;
-    active_[i] += cells_[i].kind == Kind::kStamp ? at == now : now < at;
+  const Cycle first = next_unobserved();
+  if (now > first) {
+    for (Group& group : groups_) {
+      settle(group, first);
+      group.pending_from = now;
+    }
   }
-  observed_cycles_ += gap + 1;
+  for (const Cell& cell : stamps_) active_[cell.row] += *cell.at == now;
+  reread_moved(now);
+  observed_cycles_ += now - first + 1;
   last_observed_ = now;
   observed_any_ = true;
 }
@@ -68,29 +116,40 @@ void ActivityCensus::skip_to(Cycle next) {
   // Span of cycles the engine is about to jump over, strictly before the
   // landing cycle `next` (which observe(next) will account after its
   // tick). Called before that tick, so the thresholds read here stood
-  // unchanged throughout the span; stamps were last written before it.
-  const Cycle first = observed_any_ ? last_observed_ + 1 : 0;
+  // unchanged throughout the span: it joins each group's pending stretch.
+  // Stamps were last written before it, so stamp rows stay idle.
+  const Cycle first = next_unobserved();
   if (next <= first) return;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    const Cycle until = *cells_[i].at;
-    if (cells_[i].kind == Kind::kThreshold && until > first) {
-      active_[i] += std::min(until, next) - first;
-    }
-  }
+  reread_moved(first);
   observed_cycles_ += next - first;
   last_observed_ = next - 1;
   observed_any_ = true;
 }
 
 void ActivityCensus::seal() {
-  for (Cell& cell : cells_) cell = {&kSealed, Kind::kThreshold};
+  const Cycle end = next_unobserved();
+  for (Group& group : groups_) settle(group, end);
+  stamps_.clear();
+  thresholds_.clear();
+  groups_.clear();
   probes_.clear();
 }
 
 const std::vector<ActivityCensus::Row>& ActivityCensus::rows() const noexcept {
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     rows_[i].active_cycles = active_[i];
-    rows_[i].idle_cycles = observed_cycles_ - base_[i] - active_[i];
+  }
+  const Cycle end = next_unobserved();
+  for (const Group& group : groups_) {
+    for (std::size_t i = group.first; i < group.last; ++i) {
+      const Cell& cell = thresholds_[i];
+      rows_[cell.row].active_cycles +=
+          credit(cell.cached, group.pending_from, end);
+    }
+  }
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    rows_[i].idle_cycles =
+        observed_cycles_ - base_[i] - rows_[i].active_cycles;
   }
   return rows_;
 }

@@ -5,9 +5,9 @@
 // The census reads each component's `last_work` stamp (or busy threshold)
 // and turns "most cycles are dead time" into per-component numbers; the
 // event engine consumes the other half of the activity oracle,
-// `next_event`. Census rows are read once per simulated cycle, after the
-// cycle's work, so the cycle and event engines produce byte-identical
-// census exports.
+// `next_event`. Census rows are accounted for every simulated cycle, as
+// read after the cycle's work, so the cycle and event engines produce
+// byte-identical census exports.
 //
 // Host-time measurements (HostProfiler) are wall-clock and therefore
 // nondeterministic by nature; they are quarantined in the report's
@@ -42,8 +42,13 @@ class MetricsRegistry;
 /// component's last-work slot equals `now` (MAC3D_OBS_ACTIVITY writes it);
 /// a *threshold* row is active iff `now < busy_until` (device state such
 /// as "bank busy until cycle c"). Both are registered by reference, so
-/// observe() is a flat read of O(rows) cycles with no calls. Only the
-/// generic add_component(name, Probe) row calls through std::function.
+/// observe() reads cycles with no calls. Only the generic
+/// add_component(name, Probe) row calls through std::function.
+///
+/// Stamp rows are read on every observed cycle; threshold rows sharing an
+/// epoch counter (a device's) only when it moved, and are credited in
+/// closed form from their cached thresholds in between. So observe()
+/// costs O(stamp rows + groups) on cycles where no threshold was written.
 ///
 /// The run owner calls observe(now) once per simulated cycle at a serial
 /// point. Cycles the engine never visited count as idle for every row
@@ -72,8 +77,11 @@ class ActivityCensus {
   std::size_t add_stamp(std::string name, const Cycle& last_work);
 
   /// Register a threshold row: active at `now` iff `now < busy_until`.
-  /// Skipped spans credit the cycles before the (frozen) threshold.
-  std::size_t add_threshold(std::string name, const Cycle& busy_until);
+  /// Skipped spans credit the cycles before the (frozen) threshold. With
+  /// `epoch` the row is re-read only when `*epoch` changed, so its owner
+  /// must bump it on every write; without one, on every observed cycle.
+  std::size_t add_threshold(std::string name, const Cycle& busy_until,
+                            const std::uint64_t* epoch = nullptr);
 
   /// Register a manually-marked component (the trace feeder has no tick
   /// of its own): a stamp row over the census's own marker, which
@@ -103,7 +111,8 @@ class ActivityCensus {
   void export_metrics(MetricsRegistry& registry) const;
 
   /// Per-row counts, in registration order (idle cycles are derived:
-  /// cycles observed since the row was registered minus active ones).
+  /// cycles observed since the row was registered minus active ones;
+  /// threshold rows add the stretch their group has not yet credited).
   [[nodiscard]] const std::vector<Row>& rows() const noexcept;
   [[nodiscard]] std::uint64_t observed_cycles() const noexcept {
     return observed_cycles_;
@@ -119,24 +128,45 @@ class ActivityCensus {
   [[nodiscard]] std::string to_json() const;
 
  private:
-  enum class Kind : std::uint8_t { kStamp, kThreshold };
-  /// One row's activity source: the cycle it reads and how to read it.
+  /// One row's source: the cycle it reads, its row and (threshold rows)
+  /// the threshold as last read.
   struct Cell {
     const Cycle* at;
-    Kind kind;
+    std::size_t row;
+    Cycle cached = 0;
+  };
+  /// Threshold cells [first, last) sharing one epoch, read when `*epoch`
+  /// was `seen` (a null epoch never matches). The cycles from
+  /// `pending_from` through the last observed one are not yet credited.
+  struct Group {
+    const std::uint64_t* epoch;
+    std::uint64_t seen;
+    Cycle pending_from;
+    std::size_t first;
+    std::size_t last;
   };
   /// A generic probe row, evaluated into a stamp its cell reads.
   struct ProbeRow {
     Probe probe;
     Cycle stamp = ~Cycle{0};
   };
-  /// Never active as a threshold: the target of sealed cells.
-  static constexpr Cycle kSealed = 0;
 
-  std::size_t add_row(std::string name, Cell cell);
+  std::size_t add_row(std::string name);
+  /// First cycle not yet observed.
+  [[nodiscard]] Cycle next_unobserved() const noexcept {
+    return observed_any_ ? last_observed_ + 1 : 0;
+  }
+  /// Credit the group's pending cycles below `upto` from its cache.
+  void settle(Group& group, Cycle upto);
+  /// Settle below `from`, then re-read the group's thresholds.
+  void reread(Group& group, Cycle from);
+  /// reread() every group whose epoch moved since it was read.
+  void reread_moved(Cycle from);
 
-  std::vector<Cell> cells_;
-  std::vector<std::uint64_t> active_;  // parallel to cells_
+  std::vector<Cell> stamps_;
+  std::vector<Cell> thresholds_;       // grouped: see groups_
+  std::vector<Group> groups_;
+  std::vector<std::uint64_t> active_;  // per row
   std::vector<std::uint64_t> base_;    // observed_cycles_ at registration
   std::deque<ProbeRow> probes_;        // stable: cells point at the stamps
   mutable std::vector<Row> rows_;      // names; counts filled by rows()
@@ -148,11 +178,12 @@ class ActivityCensus {
   std::uint64_t observed_cycles_ = 0;
 };
 
-/// Engine phases the host profiler attributes wall-clock to.
+/// Engine phases the host profiler attributes wall-clock to. Together
+/// they partition the clock loop's wall time.
 enum class HostPhase : std::uint8_t {
-  kTick = 0,    ///< component tick, memory-path drain included
+  kTick = 0,    ///< feed tick (drain included) and the next_event jump
   kTelemetry,   ///< census observe + skip credit
-  kSampler,     ///< cycle-sampler probe evaluation
+  kSampler,     ///< sampler and snapshot probe evaluation
 };
 
 inline constexpr std::size_t kHostPhaseCount = 3;
@@ -166,32 +197,11 @@ inline constexpr std::size_t kHostPhaseCount = 3;
   return "?";
 }
 
-/// Wall-clock attribution for a run: per-phase totals. All values are
+/// Wall-clock attribution for a run: per-phase totals, booked by the
+/// Clock's lap timer (one clock read per phase boundary). All values are
 /// host seconds and live only in the non-diffed `host` report section.
 class HostProfiler {
  public:
-  /// RAII phase timer. Null profiler => no clock read at all, so an
-  /// unprofiled run never touches the host clock on the hot path.
-  class Scope {
-   public:
-    Scope(HostProfiler* profiler, HostPhase phase)
-        : profiler_(profiler),
-          phase_(phase),
-          start_(profiler == nullptr ? 0.0 : host_now_seconds()) {}
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-    ~Scope() {
-      if (profiler_ != nullptr) {
-        profiler_->add_phase_seconds(phase_, host_now_seconds() - start_);
-      }
-    }
-
-   private:
-    HostProfiler* profiler_;
-    HostPhase phase_;
-    double start_;
-  };
-
   void add_phase_seconds(HostPhase phase, double seconds) noexcept {
     phase_seconds_[static_cast<std::size_t>(phase)] += seconds;
   }

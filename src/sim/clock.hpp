@@ -11,6 +11,8 @@
 //     Clock is built and end at end(), or abort when it dies first
 //     (exception unwind: their probes capture the pipeline by reference);
 //     a driver run's census is sealed on destruction for the same reason;
+//   * the host profiler's lap timer: one clock read per phase boundary,
+//     the phases partitioning the loop's wall time;
 //   * the single MAC3D_OBS_ENABLED gate: with telemetry compiled out every
 //     surface reads as detached.
 //
@@ -94,32 +96,29 @@ class Clock {
                Cycle max_cycles = std::numeric_limits<Cycle>::max()) {
     ClockRun run;
     Cycle now = 0;
+    if (t_.profiler != nullptr) lap_start_ = host_now_seconds();
     while (now < max_cycles && !feed.drained()) {
       ++run.visited;
-      {
-        HostProfiler::Scope scope(t_.profiler, HostPhase::kTick);
-        feed.tick(now);
-      }
+      feed.tick(now);
+      lap(HostPhase::kTick);
       if (t_.census != nullptr) {
-        HostProfiler::Scope scope(t_.profiler, HostPhase::kTelemetry);
         t_.census->observe(now);
+        lap(HostPhase::kTelemetry);
       }
-      if (t_.sampler != nullptr) {
-        HostProfiler::Scope scope(t_.profiler, HostPhase::kSampler);
-        t_.sampler->advance_to(now);
+      if (t_.sampler != nullptr) t_.sampler->advance_to(now);
+      if (t_.snapshot != nullptr) t_.snapshot->advance_to(now);
+      if (t_.sampler != nullptr || t_.snapshot != nullptr) {
+        lap(HostPhase::kSampler);
       }
-      if (t_.snapshot != nullptr) {
-        HostProfiler::Scope scope(t_.profiler, HostPhase::kSampler);
-        t_.snapshot->advance_to(now);
-        // A fired watchdog abandons the run here — the only exit a
-        // livelocked pipeline has.
-        if (t_.snapshot->watchdog_fired()) {
-          run.end = now;
-          return run;
-        }
+      // A fired watchdog abandons the run here — the only exit a
+      // livelocked pipeline has.
+      if (t_.snapshot != nullptr && t_.snapshot->watchdog_fired()) {
+        run.end = now;
+        return run;
       }
       now = next_cycle(feed, now, max_cycles);
     }
+    lap(HostPhase::kTick);
     run.end = now;
     run.completed = feed.drained();
     return run;
@@ -145,23 +144,35 @@ class Clock {
     next = std::min(next, max_cycles);
     // Credit the skipped span before the landing tick, which can raise
     // device busy thresholds and would falsely mark the span active.
-    if (next > now + 1) {
+    if (next > now + 1 && (t_.census != nullptr || t_.sampler != nullptr)) {
+      lap(HostPhase::kTick);  // next_event is the tick's
       if (t_.census != nullptr) {
-        HostProfiler::Scope scope(t_.profiler, HostPhase::kTelemetry);
         t_.census->skip_to(next);
+        lap(HostPhase::kTelemetry);
       }
       if (t_.sampler != nullptr) {
-        HostProfiler::Scope scope(t_.profiler, HostPhase::kSampler);
         t_.sampler->advance_to(next - 1);
+        lap(HostPhase::kSampler);
       }
     }
     return next;
+  }
+
+  /// Chained lap timer: books the host time since the previous boundary
+  /// to `phase`, one clock read per boundary. Without a profiler it reads
+  /// no clock at all, so an unprofiled run never touches it.
+  void lap(HostPhase phase) {
+    if (t_.profiler == nullptr) return;
+    const double now = host_now_seconds();
+    t_.profiler->add_phase_seconds(phase, now - lap_start_);
+    lap_start_ = now;
   }
 
   ClockTelemetry t_;
   bool event_;
   bool seal_census_;
   bool ended_ = false;
+  double lap_start_ = 0.0;
 };
 
 }  // namespace mac3d

@@ -425,6 +425,50 @@ TEST_P(BusyThresholdProperty, KeptThresholdsEqualBankScan) {
   }
 }
 
+/// Every census threshold the device registers: banks, vaults, links.
+std::vector<Cycle> census_thresholds(const HmcDevice& device) {
+  std::vector<Cycle> out{device.banks_busy_until()};
+  for (std::uint32_t v = 0; v < device.vault_count(); ++v) {
+    out.push_back(device.vault_busy_until(v));
+  }
+  for (std::uint32_t l = 0; l < device.link_count(); ++l) {
+    out.push_back(device.link_request_free_at(l));
+  }
+  return out;
+}
+
+// The census re-reads a device's thresholds only when threshold_epoch()
+// moved: no operation may change one without moving it.
+TEST_P(BusyThresholdProperty, ThresholdsMoveOnlyWithTheEpoch) {
+  for (int mode = 0; mode < 3; ++mode) {
+    SimConfig config;
+    config.open_page = mode == 1;
+    config.t_refi = mode == 2 ? 2000 : 0;
+    HmcDevice device(config);
+    Xoshiro256 rng(GetParam() * 17 + static_cast<std::uint64_t>(mode));
+    TransactionId id = 1;
+    Cycle now = 0;
+    for (int i = 0; i < 1500; ++i) {
+      const std::vector<Cycle> before = census_thresholds(device);
+      const std::uint64_t epoch = device.threshold_epoch();
+      const std::uint64_t op = rng.below(100);
+      if (op == 0) {
+        device.reset();
+        now = 0;
+      } else if (op < 20) {
+        now += rng.below(400);
+        device.drain(now);
+      } else {
+        now += rng.below(12);
+        submit_random(device, config, rng, id++, now);
+      }
+      if (census_thresholds(device) != before) {
+        ASSERT_NE(device.threshold_epoch(), epoch) << "operation " << i;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BusyThresholdProperty,
                          ::testing::Values(1ull, 7ull, 20190805ull));
 

@@ -5,6 +5,9 @@
 //    registered mid-run count from their registration, the feeder row
 //    follows mark_feeder, seal() keeps counts, and the export lands in
 //    the metrics registry under <name>.{active,idle}_cycles;
+//  * the lazy census (threshold groups re-read only when their epoch
+//    moved) against an eager per-cycle reference on seeded random call
+//    sequences;
 //  * LatencyDecomposer residency histograms against analytic values,
 //    the critical-stage attribution (argmax residency, earliest stage
 //    wins ties) and the transparent downstream tee;
@@ -12,16 +15,20 @@
 //  * census exports are byte-identical between System::run and
 //    System::run_event, and a census shared by a --jobs suite counts the
 //    same as at jobs = 1;
+//  * the host profiler's phases partition the clock loop;
 //  * attaching census/decomposer/profiler never perturbs simulated
 //    results (and the subsystem is inert under -DMAC3D_OBS=OFF).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "arch/system.hpp"
 #include "common/config.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "obs/latency.hpp"
 #include "obs/profiler.hpp"
@@ -199,6 +206,167 @@ TEST(ActivityCensus, SealKeepsCountsAndExportLandsInRegistry) {
   EXPECT_NE(census.to_json().find("\"active_cycles\": 2"), std::string::npos);
 }
 
+// ------------------------------------------------ lazy census equivalence
+// The census re-reads a threshold group only when its epoch moved and
+// credits the stretches between in closed form. Random call sequences
+// must count exactly what the eager per-cycle algorithm below counts.
+
+constexpr Cycle kSealedThreshold = 0;
+
+/// The eager reference: every row read on every observed cycle, threshold
+/// rows also credited across skipped spans.
+class EagerCensus {
+ public:
+  void add(const Cycle& at, bool threshold) {
+    rows_.push_back({&at, threshold, 0, observed_});
+  }
+
+  void observe(Cycle now) {
+    if (any_ && now <= last_) return;
+    const Cycle first = any_ ? last_ + 1 : 0;
+    for (Row& row : rows_) {
+      row.active += row.threshold ? now < *row.at : *row.at == now;
+    }
+    observed_ += now - first + 1;
+    last_ = now;
+    any_ = true;
+  }
+
+  void skip_to(Cycle next) {
+    const Cycle first = any_ ? last_ + 1 : 0;
+    if (next <= first) return;
+    for (Row& row : rows_) {
+      if (row.threshold && *row.at > first) {
+        row.active += std::min(*row.at, next) - first;
+      }
+    }
+    observed_ += next - first;
+    last_ = next - 1;
+    any_ = true;
+  }
+
+  void seal() {
+    for (Row& row : rows_) {
+      row.at = &kSealedThreshold;
+      row.threshold = true;
+    }
+  }
+
+  void expect_matches(const ActivityCensus& census, int step) const {
+    ASSERT_EQ(census.observed_cycles(), observed_) << "step " << step;
+    const auto& rows = census.rows();
+    ASSERT_EQ(rows.size(), rows_.size()) << "step " << step;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_EQ(rows[i].active_cycles, rows_[i].active)
+          << rows[i].name << ", step " << step;
+      ASSERT_EQ(rows[i].idle_cycles,
+                observed_ - rows_[i].base - rows_[i].active)
+          << rows[i].name << ", step " << step;
+    }
+  }
+
+ private:
+  struct Row {
+    const Cycle* at;
+    bool threshold;
+    std::uint64_t active;
+    std::uint64_t base;
+  };
+  std::vector<Row> rows_;
+  bool any_ = false;
+  Cycle last_ = 0;
+  std::uint64_t observed_ = 0;
+};
+
+/// A device-like owner of thresholds that bumps one epoch on every write.
+struct FuzzDevice {
+  std::uint64_t epoch = 0;
+  std::deque<Cycle> thresholds;
+};
+
+class LazyCensusEquivalence : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(LazyCensusEquivalence, MatchesTheEagerReferenceRowForRow) {
+  Xoshiro256 rng(GetParam());
+  ActivityCensus census;
+  EagerCensus eager;
+  // Deques: rows hold references into them.
+  std::deque<FuzzDevice> devices;
+  std::deque<Cycle> loose;  // thresholds registered without an epoch
+  std::deque<Cycle> stamps;
+  Cycle next = 0;  // the first cycle not yet observed
+  const auto add_threshold = [&](FuzzDevice& device) {
+    Cycle& at = device.thresholds.emplace_back(next + rng.below(20));
+    census.add_threshold("device", at, &device.epoch);
+    eager.add(at, true);
+  };
+  for (int step = 0; step < 4000; ++step) {
+    const std::uint64_t op = rng.below(100);
+    if (op < 3) {  // a new device, its rows registered back to back
+      FuzzDevice& device = devices.emplace_back();
+      for (std::uint64_t i = 0, n = 1 + rng.below(4); i < n; ++i) {
+        add_threshold(device);
+      }
+    } else if (op < 5 && !devices.empty()) {  // one more row, maybe apart
+      add_threshold(devices[rng.below(devices.size())]);
+    } else if (op < 7) {  // a threshold with no epoch: read every cycle
+      Cycle& at = loose.emplace_back(next + rng.below(20));
+      census.add_threshold("loose", at);
+      eager.add(at, true);
+    } else if (op < 9) {
+      Cycle& at = stamps.emplace_back(~Cycle{0});
+      census.add_stamp("stamp", at);
+      eager.add(at, false);
+    } else if (op < 25 && !devices.empty()) {  // writes, one epoch bump
+      FuzzDevice& device = devices[rng.below(devices.size())];
+      for (std::uint64_t i = 0, n = rng.below(3); i < n; ++i) {
+        device.thresholds[rng.below(device.thresholds.size())] =
+            next + rng.below(30);
+      }
+      ++device.epoch;  // n == 0: a bump with no change
+    } else if (op < 27 && !devices.empty()) {  // a device reset
+      FuzzDevice& device = devices[rng.below(devices.size())];
+      for (Cycle& at : device.thresholds) at = 0;
+      ++device.epoch;
+    } else if (op < 33 && !loose.empty()) {  // no epoch to bump
+      loose[rng.below(loose.size())] = next + rng.below(30);
+    } else if (op < 40 && !stamps.empty()) {  // work in the coming cycle
+      stamps[rng.below(stamps.size())] = next;
+    } else if (op < 75) {
+      census.observe(next);
+      eager.observe(next);
+      ++next;
+    } else if (op < 82) {  // a gap: the skipped cycles are idle
+      next += 1 + rng.below(6);
+      census.observe(next);
+      eager.observe(next);
+      ++next;
+    } else if (op < 92) {  // a skip, maybe empty (next == first unobserved)
+      next += rng.below(10);
+      census.skip_to(next);
+      eager.skip_to(next);
+    } else if (op < 94 && next > 0) {  // an already observed cycle: ignored
+      const Cycle past = next - 1 - rng.below(std::min<Cycle>(next, 3));
+      census.observe(past);
+      eager.observe(past);
+    } else if (op < 99) {
+      eager.expect_matches(census, step);
+    } else {
+      census.seal();
+      eager.seal();
+    }
+    if (HasFatalFailure()) return;
+  }
+  eager.expect_matches(census, -1);
+  census.seal();
+  eager.seal();
+  eager.expect_matches(census, -2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LazyCensusEquivalence,
+                         ::testing::Values(1ull, 7ull, 42ull, 20190805ull));
+
 // -------------------------------------------------------- LatencyDecomposer
 
 TEST(LatencyDecomposer, ResidencyMatchesAnalyticDeltas) {
@@ -285,19 +453,46 @@ TEST(LatencyDecomposer, EmptyStreamAndZeroRequestEdgeCases) {
 
 // ------------------------------------------------------------- HostProfiler
 
-TEST(HostProfiler, PhaseScopesAccumulate) {
+TEST(HostProfiler, PhasesAccumulate) {
   HostProfiler profiler;
-  { HostProfiler::Scope scope(&profiler, HostPhase::kTick); }
-  EXPECT_GE(profiler.phase_seconds(HostPhase::kTick), 0.0);
-  { HostProfiler::Scope scope(nullptr, HostPhase::kTick); }  // no-op
-
   profiler.add_phase_seconds(HostPhase::kTelemetry, 1.5);
-  EXPECT_DOUBLE_EQ(profiler.phase_seconds(HostPhase::kTelemetry), 1.5);
+  profiler.add_phase_seconds(HostPhase::kTelemetry, 0.25);
+  EXPECT_DOUBLE_EQ(profiler.phase_seconds(HostPhase::kTelemetry), 1.75);
+  EXPECT_EQ(profiler.phase_seconds(HostPhase::kTick), 0.0);
 
   const std::string json = profiler.to_json();
   EXPECT_NE(json.find("\"phase_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"tick\""), std::string::npos);
   EXPECT_NE(json.find("\"sampler\""), std::string::npos);
+}
+
+// The clock's lap timer books each stretch of its loop to exactly one
+// phase: the phases add up to at most the run's wall time, and a phase
+// whose surface is detached gets nothing.
+TEST(HostProfiler, PhasesPartitionTheClockLoop) {
+  SimConfig config;
+  config.nodes = 2;
+  config.cores = 2;
+  const MemoryTrace trace = small_trace(4, 200);
+  System system(config);
+  system.attach_trace(trace);
+  ActivityCensus census;
+  system.attach_census(&census);
+  HostProfiler profiler;
+  system.attach_profiler(&profiler);
+  const double start = host_now_seconds();
+  EXPECT_TRUE(system.run_event().completed);
+  const double wall = host_now_seconds() - start;
+  double booked = 0.0;
+  for (std::size_t i = 0; i < kHostPhaseCount; ++i) {
+    booked += profiler.phase_seconds(static_cast<HostPhase>(i));
+  }
+  EXPECT_LE(booked, wall + 1e-9);
+  EXPECT_EQ(profiler.phase_seconds(HostPhase::kSampler), 0.0);
+#if MAC3D_OBS_ENABLED
+  EXPECT_GT(profiler.phase_seconds(HostPhase::kTick), 0.0);
+  EXPECT_GT(profiler.phase_seconds(HostPhase::kTelemetry), 0.0);
+#endif
 }
 
 // Drain is tick work: with only a host profiler attached there is no census
