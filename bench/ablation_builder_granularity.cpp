@@ -7,7 +7,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "ablation_builder_granularity");
   print_banner("Ablation: Request Builder minimum packet granularity");
@@ -42,4 +44,10 @@ int main(int argc, char** argv) {
       "Eq. 1 bandwidth efficiency but ship unrequested FLITs (Sec. 2.3.2's\n"
       "argument against 256 B cache lines). 64 B is the paper's choice.\n");
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

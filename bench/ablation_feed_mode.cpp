@@ -9,7 +9,9 @@
 #include "bench_common.hpp"
 #include "sim/driver.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "ablation_feed_mode");
   print_banner("Ablation: trace streaming vs execution-driven closed loop");
@@ -39,4 +41,10 @@ int main(int argc, char** argv) {
   }
   table.print();
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

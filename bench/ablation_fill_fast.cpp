@@ -7,7 +7,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "ablation_fill_fast");
   print_banner("Ablation: fill-fast latency hiding (Sec. 4.1)");
@@ -32,4 +34,10 @@ int main(int argc, char** argv) {
   }
   table.print();
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

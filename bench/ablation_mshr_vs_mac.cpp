@@ -8,7 +8,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "ablation_mshr_vs_mac");
   print_banner("Ablation: MAC vs MSHR-64B vs raw");
@@ -43,4 +45,10 @@ int main(int argc, char** argv) {
       "adapts 64-256 B per row (cap %s).\n",
       Table::pct(64.0 / 96.0).c_str(), Table::pct(256.0 / 288.0).c_str());
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

@@ -12,7 +12,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "ablation_page_policy");
   print_banner("Ablation: page policy (Sec. 2.2.1)");
@@ -49,4 +51,10 @@ int main(int argc, char** argv) {
       "at 33%%). Closed-page + MAC reaches ~2/3 bandwidth efficiency and\n"
       "comparable latency without any open rows.\n");
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

@@ -6,7 +6,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "ablation_row_size");
   print_banner("Ablation: row/page size (HMC 1.0 / HMC 2.1 / HBM)");
@@ -41,4 +43,10 @@ int main(int argc, char** argv) {
   }
   table.print();
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

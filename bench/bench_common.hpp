@@ -10,11 +10,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/parse_number.hpp"
 #include "common/stats.hpp"
 #include "obs/report_diff.hpp"
@@ -66,7 +68,9 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   ~Session() {
-    if (!finished_) write_report();
+    // Not while unwinding: the failed run has no report, and re-reading a
+    // bad MAC3D_CONFIG here would throw out of the destructor.
+    if (!finished_ && std::uncaught_exceptions() == 0) write_report();
   }
 
   /// Write the report (if --report) and check against the baseline (if
@@ -136,6 +140,20 @@ class Session {
   std::chrono::steady_clock::time_point start_;
   RunReport report_;
 };
+
+/// Every bench binary's main(): runs `body` and turns a bad environment
+/// value (ConfigError: MAC3D_SCALE=abc, ...) into the CLI's one-line
+/// message and exit code 1 instead of an uncaught-exception abort.
+inline int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const ConfigError& error) {
+    const std::string_view path = argc > 0 ? argv[0] : "bench";
+    const std::string name(path.substr(path.rfind('/') + 1));
+    std::fprintf(stderr, "%s: %s\n", name.c_str(), error.what());
+    return 1;
+  }
+}
 
 /// Upper-case the workload name the way the paper's figures label them.
 inline std::string label(const std::string& name) {

@@ -37,9 +37,7 @@ TimedRun timed(const mac3d::SimConfig& config, const mac3d::MemoryTrace& trace,
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "engine_fastforward");
   print_banner(
@@ -127,4 +125,10 @@ int main(int argc, char** argv) {
   session.set_number("event_wall_seconds", event.seconds);
   session.set_number("speedup", speedup);
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

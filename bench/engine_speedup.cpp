@@ -8,7 +8,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "engine_speedup");
   print_banner("Engine scaling: serial vs jobs-parallel suite wall clock");
@@ -34,4 +36,10 @@ int main(int argc, char** argv) {
   session.set_number("parallel_seconds", result.parallel_seconds);
   session.set_number("speedup", result.speedup);
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

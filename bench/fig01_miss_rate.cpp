@@ -96,11 +96,15 @@ void right_side() {
   print_reference("sequential miss at 32 GB", "2.36%", "see last row");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   bench::Session session(argc, argv, "fig01_miss_rate");
   left_side();
   right_side();
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

@@ -6,7 +6,9 @@
 #include "bench_common.hpp"
 #include "mem/packet.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig03_bw_model");
   print_banner("Figure 3: bandwidth efficiency and overhead vs request size");
@@ -29,4 +31,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(16 * access_link_bytes(16, false)),
       static_cast<unsigned long long>(access_link_bytes(256, false)));
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

@@ -7,7 +7,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig09_rpc");
   print_banner("Figure 9: raw requests per cycle (Eq. 2)");
@@ -36,4 +38,10 @@ int main(int argc, char** argv) {
   print_reference("every benchmark", "> 2 RPC", "see table");
   print_reference("average RPC", "up to 9.32", Table::fmt(sum / count, 2));
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

@@ -5,7 +5,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig10_coalescing_efficiency");
   print_banner("Figure 10: coalescing efficiency vs thread count");
@@ -38,4 +40,10 @@ int main(int argc, char** argv) {
                       Table::pct(series[1].mean_coalescing) + " / " +
                       Table::pct(series[2].mean_coalescing));
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

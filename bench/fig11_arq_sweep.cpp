@@ -6,7 +6,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig11_arq_sweep");
   print_banner("Figure 11: coalescing efficiency vs ARQ entries");
@@ -32,4 +34,10 @@ int main(int argc, char** argv) {
   print_reference("diminishing returns past 32 entries", "+5.53% at 64",
                   "see gain column");
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

@@ -7,7 +7,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig12_bank_conflicts");
   print_banner("Figure 12: bank conflict reduction");
@@ -37,4 +39,10 @@ int main(int argc, char** argv) {
   print_reference("paper totals (full-size inputs)",
                   "7.73 B total, 644 M average", "scaled run above");
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

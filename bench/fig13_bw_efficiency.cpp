@@ -6,7 +6,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig13_bw_efficiency");
   print_banner("Figure 13: bandwidth efficiency, MAC vs raw");
@@ -35,4 +37,10 @@ int main(int argc, char** argv) {
   print_reference("control overhead with MAC", "29.65%",
                   Table::pct(1.0 - avg));
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

@@ -7,7 +7,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig14_bw_saving");
   print_banner("Figure 14: bandwidth saving");
@@ -35,4 +37,10 @@ int main(int argc, char** argv) {
   print_reference("paper average (full-size inputs)", "22.76 GB",
                   "scaled run above");
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

@@ -5,7 +5,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig15_targets_per_entry");
   print_banner("Figure 15: average targets per ARQ entry");
@@ -31,4 +33,10 @@ int main(int argc, char** argv) {
                   Table::fmt(sum / static_cast<double>(runs.size()), 2));
   print_reference("largest per-workload average", "3.14", Table::fmt(best, 2));
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

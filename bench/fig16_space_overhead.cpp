@@ -8,7 +8,9 @@
 #include "mac/coalescer.hpp"
 #include "mem/hmc_device.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig16_space_overhead");
   print_banner("Figure 16: MAC space overhead");
@@ -39,4 +41,10 @@ int main(int argc, char** argv) {
   print_reference("total at 32 entries", "2062 B",
                   Table::bytes(mac.storage_bytes()));
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

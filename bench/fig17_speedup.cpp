@@ -7,7 +7,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig17_speedup");
   print_banner("Figure 17: memory system speedup");
@@ -33,4 +35,10 @@ int main(int argc, char** argv) {
   print_reference("top performers", "> 70% (MG, GRAPPOLO, SG, SPARSELU)",
                   "see table");
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

@@ -12,7 +12,9 @@
 #include "obs/latency.hpp"
 #include "sim/driver.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig_latency_breakdown");
   print_banner("Per-stage latency decomposition: raw vs MAC");
@@ -58,4 +60,10 @@ int main(int argc, char** argv) {
     }
   }
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

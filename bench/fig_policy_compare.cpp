@@ -9,7 +9,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig_policy_compare");
   print_banner("Policy comparison: raw vs MSHR vs warp vs MAC");
@@ -65,4 +67,10 @@ int main(int argc, char** argv) {
   print_reference("MAC mean bandwidth efficiency", "70.35% (Fig. 13)",
                   Table::pct(bw_sum[3] / n));
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

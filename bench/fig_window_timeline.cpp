@@ -19,7 +19,9 @@
 #include "obs/profiler.hpp"
 #include "obs/snapshot.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "fig_window_timeline");
   std::string snapshot_out;
@@ -106,4 +108,10 @@ int main(int argc, char** argv) {
                      static_cast<double>(run.critical_windows));
   session.set_string("critical_stage", run.critical_component);
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

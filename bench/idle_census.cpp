@@ -14,7 +14,9 @@
 #include "bench_common.hpp"
 #include "obs/profiler.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "idle_census");
   std::string census_out;
@@ -73,4 +75,10 @@ int main(int argc, char** argv) {
   session.set_number("idle_cycles_total", static_cast<double>(idle));
   session.set_number("dead_time_fraction", census.dead_time_fraction());
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }

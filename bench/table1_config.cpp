@@ -3,7 +3,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int bench_main(int argc, char** argv) {
   using namespace mac3d;
   bench::Session session(argc, argv, "table1_config");
   print_banner("Table 1: Simulation Environment Configurations");
@@ -19,4 +21,10 @@ int main(int argc, char** argv) {
       config.arq_entries * config.arq_entry_bytes, config.total_banks());
   print_reference("avg HMC access latency", "93 ns", "see tests (calibrated)");
   return session.finish();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mac3d::bench::guarded_main(argc, argv, bench_main);
 }
