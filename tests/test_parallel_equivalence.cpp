@@ -11,6 +11,9 @@
 // feed x engine run and per System engine run to recorded outputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -76,10 +79,34 @@ enum class Shape {
   kOneBlock,     ///< every request hits one 64 B block
   kDenseFences,  ///< a fence every 2-3 records
   kTagPoolOne,   ///< locality traffic, streaming feed with one tag per thread
+  kBankConflict,  ///< every request a different row of one bank
+  kZipfHotRow,    ///< rows drawn Zipf(1.2) from 256: one row takes ~25%
 };
 
-/// 8 threads x 150 records of kOneBlock or kDenseFences traffic.
+/// Row of a kZipfHotRow request: inverse CDF over ranks 1..256 with
+/// P(rank) ~ rank^-1.2, the hottest row first.
+std::uint64_t zipf_row(Xoshiro256& rng) {
+  static const std::vector<double> cdf = [] {
+    std::vector<double> out;
+    double sum = 0.0;
+    for (int rank = 1; rank <= 256; ++rank) {
+      sum += std::pow(rank, -1.2);
+      out.push_back(sum);
+    }
+    for (double& p : out) p /= sum;
+    return out;
+  }();
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), rng.uniform());
+  return static_cast<std::uint64_t>(
+      std::min<std::ptrdiff_t>(it - cdf.begin(), 255));
+}
+
+/// 8 threads x 150 records of one adversarial shape's traffic.
 MemoryTrace adversarial_trace(Shape shape, std::uint64_t seed) {
+  const SimConfig config;
+  // Rows `bank_stride` apart share vault and bank (address_map.hpp).
+  const std::uint64_t bank_stride =
+      std::uint64_t{config.vaults} * config.banks_per_vault;
   MemoryTrace trace(8);
   Xoshiro256 rng(seed);
   for (std::uint32_t t = 0; t < 8; ++t) {
@@ -92,9 +119,18 @@ MemoryTrace adversarial_trace(Shape shape, std::uint64_t seed) {
         until_fence = 2 + rng.below(2);
         continue;
       }
-      const Address addr = shape == Shape::kOneBlock
-                               ? 0x4000 + rng.below(4) * 16
-                               : rng.below(64) * 256 + rng.below(16) * 16;
+      const Address flit = rng.below(config.row_bytes / 16) * 16;
+      Address addr = 0;
+      switch (shape) {
+        case Shape::kOneBlock: addr = 0x4000 + rng.below(4) * 16; break;
+        case Shape::kBankConflict:
+          addr = rng.below(4096) * bank_stride * config.row_bytes + flit;
+          break;
+        case Shape::kZipfHotRow:
+          addr = zipf_row(rng) * config.row_bytes + flit;
+          break;
+        default: addr = rng.below(64) * 256 + rng.below(16) * 16; break;
+      }
       switch (rng.below(8)) {
         case 0: trace.store(tid, addr); break;
         case 1: trace.atomic(tid, addr); break;
@@ -220,7 +256,8 @@ const char* mode_name(FeedMode mode) {
 
 std::string case_name(const ::testing::TestParamInfo<GridCase>& info) {
   const GridCase& c = info.param;
-  const char* shapes[] = {"", "one_block_", "dense_fences_", "tag_pool_1_"};
+  const char* shapes[] = {"",           "one_block_",     "dense_fences_",
+                          "tag_pool_1_", "bank_conflict_", "zipf_hot_row_"};
   const std::string seed =
       c.shape == Shape::kLocality ? "" : "seed" + std::to_string(c.seed) + "_";
   return std::string(c.path) + mode_name(c.mode) +
@@ -280,7 +317,8 @@ std::vector<GridCase> adversarial_cases() {
   std::vector<GridCase> cases;
   for (const char* path : {"mac", "raw", "mshr", "warp"}) {
     for (const Shape shape :
-         {Shape::kOneBlock, Shape::kDenseFences, Shape::kTagPoolOne}) {
+         {Shape::kOneBlock, Shape::kDenseFences, Shape::kTagPoolOne,
+          Shape::kBankConflict, Shape::kZipfHotRow}) {
       for (const std::uint64_t seed : {3ull, 11ull}) {
         cases.push_back({path, FeedMode::kStreaming, shape, seed});
       }
